@@ -13,12 +13,21 @@ computed exactly from its spectral decomposition.  Squeezer blocks are
 built with ancilla range ``2 * cutoff`` and the Kraus operators cropped to
 ``cutoff``, which pushes edge-reflection artifacts below ~tanh(r)^(2d).
 
+Gauge covariance organizes the channel layer.  Each Kraus operator of a
+quantum-limited stage is one band, ``A_l |n> = c_l[n] |n -/+ l>``, stored as
+(shift, coefficient vector).  A gauge-covariant channel maps each diagonal
+``rho[n, n+k]`` into the same output diagonal, so a one-mode pipeline (gauge
+phase, attenuator, amplifier) composes into per-diagonal transfer matrices
+``T[k]``, and every channel application multiplies the operator's diagonals
+by them, per mode.  Columns, bands and transfers sit in LRU caches.
+
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +47,7 @@ from .errors import (
 )
 
 DIM_GUARD = 4096
+CACHE_SIZE = 8  # entries per LRU cache; one verdict or criterion uses at most six
 
 
 @dataclass(frozen=True)
@@ -76,12 +86,27 @@ class FockOperator:
 
 @dataclass(frozen=True)
 class OneModeChannelKraus:
-    """Kraus list of a one-mode quantum-limited channel in the number basis."""
+    """Kraus list of a one-mode quantum-limited channel in the number basis,
+    as bands: A_l[n + shifts[l], n] = coeffs[l, n], zero elsewhere."""
 
     kind: str  # "attenuator" | "amplifier"
     parameter: float
     space: FockSpace
-    ops: tuple[np.ndarray, ...]
+    shifts: np.ndarray  # (L,) int
+    coeffs: np.ndarray  # (L, cutoff) complex
+
+    def band_sum(self) -> np.ndarray:
+        """sum_l A_l as a dense matrix; the bands do not overlap."""
+        label, n = np.nonzero(self.coeffs)  # bands vanish where they leave the cutoff
+        total = np.zeros((self.space.cutoff,) * 2, dtype=np.complex128)
+        total[n + self.shifts[label], n] = self.coeffs[label, n]
+        return total
+
+    @property
+    def ops(self) -> tuple[np.ndarray, ...]:
+        """Dense Kraus matrices, built on each access."""
+        total = self.band_sum()
+        return tuple(np.diag(np.diagonal(total, -s), -s) for s in self.shifts)
 
 
 def pure_state(space: FockSpace, amplitudes, normalize: bool = False) -> PureState:
@@ -287,45 +312,44 @@ def _skew_expm(sub: np.ndarray, column_only: bool) -> np.ndarray:
     return np.conj(phases)[:, None] * full * phases[None, :]
 
 
-_COLUMN_CACHE: dict[tuple, tuple] = {}
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller: freeze them."""
+    a.flags.writeable = False
+    return a
 
 
-def _attenuator_columns(k: float, d: int) -> tuple[np.ndarray, ...]:
-    """Beamsplitter dilation columns: cols[n][l] = <n-l, l| U |n, 0>.
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _dilation_columns(kind: str, parameter: float, d: int) -> tuple[np.ndarray, ...]:
+    """cols[n][l] = <n -/+ l, l| U |n, 0> of the attenuator / amplifier dilation.
 
-    Total photon number is conserved, so every sector with n < d is complete
-    and the amplitudes are exact.
+    Beamsplitter, cos(theta) = parameter: total photon number is conserved,
+    so every sector with n < d is complete and the amplitudes are exact.
+    Two-mode squeezer, cosh(r) = parameter: photon difference is conserved;
+    blocks are built with ancilla range up to 2d - 1 - n and later cropped,
+    suppressing edge reflection.
     """
-    key = ("att", float(k), d)
-    if key not in _COLUMN_CACHE:
-        theta = float(np.arccos(np.clip(k, 0.0, 1.0)))
-        cols = []
-        for n in range(d):
-            sub = np.array([-theta * np.sqrt((j + 1.0) * (n - j)) for j in range(n)])
-            cols.append(_skew_expm(sub, column_only=True))
-        _COLUMN_CACHE[key] = tuple(cols)
-    return _COLUMN_CACHE[key]
+    if kind == "attenuator":
+        theta = float(np.arccos(np.clip(parameter, 0.0, 1.0)))
+        subs = ([-theta * np.sqrt((j + 1.0) * (n - j)) for j in range(n)] for n in range(d))
+    else:
+        r = float(np.arccosh(max(parameter, 1.0)))
+        subs = ([r * np.sqrt((n + j + 1.0) * (j + 1.0)) for j in range(2 * d - 1 - n)]
+                for n in range(d))
+    return tuple(_readonly(_skew_expm(np.array(sub), column_only=True)) for sub in subs)
 
 
-def _amplifier_columns(kappa: float, d: int) -> tuple[np.ndarray, ...]:
-    """Two-mode squeezer dilation columns: cols[n][l] = <n+l, l| U |n, 0>.
-
-    Photon difference is conserved; blocks are built with ancilla range up
-    to 2d - 1 - n and later cropped, suppressing edge reflection.
-    """
-    key = ("amp", float(kappa), d)
-    if key not in _COLUMN_CACHE:
-        r = float(np.arccosh(max(kappa, 1.0)))
-        cols = []
-        for n in range(d):
-            jmax = 2 * d - 1 - n
-            sub = np.array([r * np.sqrt((n + j + 1.0) * (j + 1.0)) for j in range(jmax)])
-            cols.append(_skew_expm(sub, column_only=True))
-        _COLUMN_CACHE[key] = tuple(cols)
-    return _COLUMN_CACHE[key]
-
-
-_KRAUS_CACHE: dict[tuple, OneModeChannelKraus] = {}
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _banded_kraus(kind: str, parameter: float, d: int) -> OneModeChannelKraus:
+    """Bands A_l[n -/+ l, n] = cols[n][l], cropped to the cutoff; labels whose
+    band is identically zero are dropped."""
+    sign = -1 if kind == "attenuator" else 1
+    coeffs = np.zeros((d, d), dtype=np.complex128)  # [l, n]
+    for n, col in enumerate(_dilation_columns(kind, parameter, d)):
+        labels = n + 1 if sign < 0 else d - n  # l with n + sign * l inside the cutoff
+        coeffs[:labels, n] = col[:labels]
+    keep = np.any(coeffs != 0, axis=1)
+    return OneModeChannelKraus(kind, parameter, FockSpace(1, d),
+                               _readonly(sign * np.arange(d)[keep]), _readonly(coeffs[keep]))
 
 
 def attenuator_kraus(k: float, space: FockSpace) -> OneModeChannelKraus:
@@ -338,19 +362,7 @@ def attenuator_kraus(k: float, space: FockSpace) -> OneModeChannelKraus:
         raise DimensionMismatch("attenuator_kraus builds one-mode channels")
     if not 0.0 <= k <= 1.0:
         raise ParameterOutOfRange(f"attenuation must lie in [0, 1], got {k}")
-    key = ("att", float(k), space.cutoff)
-    if key not in _KRAUS_CACHE:
-        d = space.cutoff
-        cols = _attenuator_columns(k, d)
-        ops = []
-        for l in range(d):
-            A = np.zeros((d, d), dtype=np.complex128)
-            for n in range(l, d):
-                A[n - l, n] = cols[n][l]
-            if np.any(A):
-                ops.append(A)
-        _KRAUS_CACHE[key] = OneModeChannelKraus("attenuator", float(k), space, tuple(ops))
-    return _KRAUS_CACHE[key]
+    return _banded_kraus("attenuator", float(k), space.cutoff)
 
 
 def amplifier_kraus(kappa: float, space: FockSpace) -> OneModeChannelKraus:
@@ -369,35 +381,14 @@ def amplifier_kraus(kappa: float, space: FockSpace) -> OneModeChannelKraus:
         raise ParameterOutOfRange(
             f"kappa^2 - 1 = {kappa**2 - 1:.3f} exceeds cutoff/8 = {space.cutoff / 8.0}"
         )
-    key = ("amp", float(kappa), space.cutoff)
-    if key not in _KRAUS_CACHE:
-        d = space.cutoff
-        cols = _amplifier_columns(kappa, d)
-        ops = []
-        for l in range(d):
-            A = np.zeros((d, d), dtype=np.complex128)
-            for n in range(0, d - l):
-                A[n + l, n] = cols[n][l]
-            if np.any(A):
-                ops.append(A)
-        _KRAUS_CACHE[key] = OneModeChannelKraus("amplifier", float(kappa), space, tuple(ops))
-    return _KRAUS_CACHE[key]
+    return _banded_kraus("amplifier", float(kappa), space.cutoff)
 
 
 def kraus_completeness_defect(kraus: OneModeChannelKraus, n_max: int) -> float:
-    """max |sum_l A_l^dag A_l - I| over the occupation block n <= n_max."""
-    d = kraus.space.cutoff
-    total = np.zeros((d, d), dtype=np.complex128)
-    for A in kraus.ops:
-        total += A.conj().T @ A
-    block = total[: n_max + 1, : n_max + 1] - np.eye(n_max + 1)
-    return float(np.abs(block).max())
-
-
-def _sandwich(ops: tuple[np.ndarray, ...], rho: np.ndarray) -> np.ndarray:
-    stack = np.stack(ops)
-    tmp = stack @ rho
-    return np.einsum("lij,lkj->ik", tmp, stack.conj(), optimize=True)
+    """max |sum_l A_l^dag A_l - I| over the occupation block n <= n_max; each
+    A_l^dag A_l is diagonal with entries |coeffs[l, n]|^2."""
+    weights = np.sum(np.abs(kraus.coeffs[:, : n_max + 1]) ** 2, axis=0)
+    return float(np.abs(weights - 1.0).max())
 
 
 def apply_kraus(kraus, rho: FockOperator) -> FockOperator:
@@ -412,32 +403,17 @@ def apply_kraus(kraus, rho: FockOperator) -> FockOperator:
     if isinstance(kraus, OneModeChannelKraus):
         if space.modes != 1:
             raise DimensionMismatch("got a one-mode Kraus list for a multimode operator")
-        if kraus.space.cutoff != space.cutoff:
-            raise DimensionMismatch("Kraus cutoff does not match the operator")
-        return FockOperator(space=space, matrix=_sandwich(kraus.ops, rho.matrix))
+        kraus = (kraus,)
     if space.modes != len(kraus):
         raise DimensionMismatch(f"need {space.modes} per-mode channels, got {len(kraus)}")
-    mat = rho.matrix
-    for mode, ch in enumerate(kraus):
-        if ch is None:
-            continue
-        if ch.space.cutoff != space.cutoff:
+    transfers = []
+    for stage in kraus:
+        if stage is not None and stage.space.cutoff != space.cutoff:
             raise DimensionMismatch("Kraus cutoff does not match the operator")
-        mat = _apply_mode(ch.ops, mat, space.cutoff, mode)
-    return FockOperator(space=space, matrix=mat)
-
-
-def _apply_mode(ops: tuple[np.ndarray, ...], rho: np.ndarray, d: int, mode: int) -> np.ndarray:
-    rho4 = rho.reshape(d, d, d, d)  # [m1, m2 | n1, n2]
-    out = np.zeros_like(rho4)
-    for A in ops:
-        if mode == 0:
-            t = np.einsum("am,mbnd->abnd", A, rho4, optimize=True)
-            out += np.einsum("abnd,cn->abcd", t, A.conj(), optimize=True)
-        else:
-            t = np.einsum("bm,amcn->abcn", A, rho4, optimize=True)
-            out += np.einsum("abcn,dn->abcd", t, A.conj(), optimize=True)
-    return out.reshape(d * d, d * d)
+        transfers.append(None if stage is None else _mode_transfer(
+            ModePipeline(0.0, stage.parameter, 1.0) if stage.kind == "attenuator"
+            else ModePipeline(0.0, 1.0, stage.parameter), space.cutoff))
+    return FockOperator(space=space, matrix=_apply_transfers(transfers, rho.matrix, space))
 
 
 def complementary_output(kappa: float, rho: FockOperator) -> FockOperator:
@@ -453,12 +429,10 @@ def complementary_output(kappa: float, rho: FockOperator) -> FockOperator:
     if kappa < 1.0:
         raise ParameterOutOfRange(f"gain must satisfy kappa >= 1, got {kappa}")
     d = space.cutoff
-    cols = _amplifier_columns(kappa, d)
+    cols = _dilation_columns("amplifier", float(kappa), d)
     out = np.zeros((d, d), dtype=np.complex128)
     for m in range(2 * d - 1):
-        lo = max(0, m - d + 1)
-        hi = min(m, d - 1)
-        ns = np.arange(lo, hi + 1)
+        ns = np.arange(max(0, m - d + 1), min(m, d - 1) + 1)
         w = np.array([cols[n][m - n] for n in ns])
         ls = m - ns
         block = (w[:, None] * rho.matrix[np.ix_(ns, ns)]) * w.conj()[None, :]
@@ -477,7 +451,7 @@ def amplifier_dilation_marginals(kappa: float, psi: PureState) -> tuple[FockOper
         raise DimensionMismatch("amplifier_dilation_marginals is one-mode")
     d = space.cutoff
     big = FockSpace(1, 2 * d)
-    cols = _amplifier_columns(kappa, d)
+    cols = _dilation_columns("amplifier", float(kappa), d)
     omega = np.zeros((2 * d, 2 * d), dtype=np.complex128)
     for n in range(d):
         ls = np.arange(len(cols[n]))
@@ -521,34 +495,64 @@ class ModePipeline:
     gain: float
 
 
+def _stages(pipeline: ModePipeline, cutoff: int) -> tuple:
+    """(attenuator kraus | None, amplifier kraus | None) of one mode."""
+    k, kappa, one = pipeline.attenuation, pipeline.gain, FockSpace(1, cutoff)
+    return (attenuator_kraus(k, one) if k < 1.0 - 1e-14 else None,
+            amplifier_kraus(kappa, one) if kappa > 1.0 + 1e-14 else None)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _mode_transfer(pipeline: ModePipeline, d: int) -> np.ndarray:
+    """Transfer matrices T[k]: rho[n, n+k] -> out[m, m+k] of one mode's
+    pipeline, T[k] = e^{-i phase k} S_amp[k] S_att[k], where a stage with
+    G = sum_l A_l has S[k] = G[:d-k, :d-k] * conj(G[k:, k:]) (entrywise: each
+    band keeps its shift).  Cyclic layout: F[k] = blockdiag(T[k], conj(T[d-k]))
+    maps rho[n, (n+k) % d], diagonal k followed by diagonal k - d = -(d-k)."""
+    att, amp = (np.eye(d) if s is None else s.band_sum() for s in _stages(pipeline, d))
+    F = np.zeros((d, d, d), dtype=np.complex128)
+    for k in range(d):
+        m = d - k
+        block = np.exp(-1j * pipeline.phase * k) * (
+            (amp[:m, :m] * amp[k:, k:].conj()) @ (att[:m, :m] * att[k:, k:].conj()))
+        F[k, :m, :m] = block
+        if k:
+            np.conjugate(block, out=F[d - k, k:, k:])
+    return _readonly(F)
+
+
+def _apply_transfers(transfers, matrix: np.ndarray, space: FockSpace) -> np.ndarray:
+    """The one channel-application path.  Per mode (None leaves it alone),
+    gathers the cyclic diagonals x[n, (n+k) % d] of the mode's row and column
+    axes, multiplies each by F[k] and scatters the result back."""
+    d, modes = space.cutoff, space.modes
+    n = np.arange(d)
+    cols = (n + n[:, None]) % d  # cols[k, n] = (n + k) % d
+    x = matrix.reshape((d,) * (2 * modes))  # [m1, (m2,) n1, (n2)]
+    for mode, F in enumerate(transfers):
+        if F is not None:
+            axes = (mode, modes + mode)
+            x = np.moveaxis(x, axes, (0, 1))
+            out = np.empty(x.shape, dtype=np.complex128)
+            out[n, cols] = (F @ x[n, cols].reshape(d, d, -1)).reshape(x.shape)
+            x = np.moveaxis(out, (0, 1), axes)
+    return x.reshape(space.dim, space.dim)
+
+
 @dataclass(frozen=True)
 class FockChannel:
-    """A channel materialized as per-mode Kraus stages on a Fock space."""
+    """A channel materialized as per-mode Kraus stages and transfer matrices."""
 
     space: FockSpace
     pipelines: tuple[ModePipeline, ...]
     stages: tuple[tuple, ...]  # per mode: (attenuator kraus | None, amplifier kraus | None)
+    transfers: tuple[np.ndarray, ...]  # per mode: see _mode_transfer
 
     def apply(self, rho: FockOperator) -> FockOperator:
         if rho.space != self.space:
             raise DimensionMismatch("operator lives on a different space")
-        d = self.space.cutoff
-        n = np.arange(d)
-        if self.space.modes == 1:
-            ph = np.exp(1j * self.pipelines[0].phase * n)
-        else:
-            ph = np.exp(1j * (self.pipelines[0].phase * n[:, None]
-                              + self.pipelines[1].phase * n[None, :])).ravel()
-        mat = (ph[:, None] * rho.matrix) * ph.conj()[None, :]
-        for mode, (att, amp) in enumerate(self.stages):
-            for stage in (att, amp):
-                if stage is None:
-                    continue
-                if self.space.modes == 1:
-                    mat = _sandwich(stage.ops, mat)
-                else:
-                    mat = _apply_mode(stage.ops, mat, d, mode)
-        return FockOperator(space=self.space, matrix=mat)
+        return FockOperator(space=self.space,
+                            matrix=_apply_transfers(self.transfers, rho.matrix, self.space))
 
     def apply_pure(self, psi: PureState) -> FockOperator:
         return self.apply(density(psi))
@@ -568,17 +572,13 @@ def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
                 or np.abs(ch.mu - np.diag(np.diagonal(ch.mu))).max() > 1e-12):
             raise NotDiagonal("multimode realization needs diagonal K and mu")
     pipelines = []
-    stages = []
     for j in range(ch.modes):
         kj = complex(ch.K[j, j])
         mj = float(np.real(ch.mu[j, j]))
-        gain = float(np.sqrt(mj + (abs(kj) ** 2 + 1.0) / 2.0))
-        gain = max(gain, 1.0)
+        gain = max(float(np.sqrt(mj + (abs(kj) ** 2 + 1.0) / 2.0)), 1.0)
         k1 = min(abs(kj) / gain, 1.0)
         phase = float(np.angle(kj)) if abs(kj) > 0 else 0.0
         pipelines.append(ModePipeline(phase=phase, attenuation=k1, gain=gain))
-        one_mode = FockSpace(1, space.cutoff)
-        att = attenuator_kraus(k1, one_mode) if k1 < 1.0 - 1e-14 else None
-        amp = amplifier_kraus(gain, one_mode) if gain > 1.0 + 1e-14 else None
-        stages.append((att, amp))
-    return FockChannel(space=space, pipelines=tuple(pipelines), stages=tuple(stages))
+    return FockChannel(space=space, pipelines=tuple(pipelines),
+                       stages=tuple(_stages(p, space.cutoff) for p in pipelines),
+                       transfers=tuple(_mode_transfer(p, space.cutoff) for p in pipelines))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausslab import cli, dump_channel
+from gausslab import majorization as mj
 from gausslab.channels import (
     amplifier_channel,
     attenuator_channel,
@@ -149,12 +150,46 @@ class TestSweepCommands:
     def test_seed_is_mandatory(self, files):
         assert cli.run(["majorize", files["att07"], "--samples", "4"]) == 1
 
+    def test_majorize_counts_retries_once(self, tmp_path, files):
+        # at cutoff 35 some support-4 samples leave amplifier(1.5) outputs
+        # above the leakage budget, so the sweep redraws them
+        code, report = run_to_file(tmp_path, ["majorize", files["amp15"], "--samples", "6",
+                                              "--seed", "1", "--cutoff", "35"])
+        assert code == 0
+        sweep = mj.majorization_sweep(amplifier_channel(1.5), n_samples=6, seed=1, cutoff=35)
+        assert sweep.rejected >= 1
+        assert report["leakage"]["rejected"] == sweep.rejected
+
     def test_threads_env_fallback(self, monkeypatch, tmp_path, files):
         monkeypatch.setenv("GAUSSLAB_THREADS", "3")
         code, report = run_to_file(tmp_path, ["majorize", files["att07"],
                                               "--samples", "4", "--seed", "2"])
         assert code == 0
         assert report["config"]["threads"] == 3
+
+
+class TestArgumentBounds:
+    """Out-of-range sizes are usage errors (exit 1) and write no report."""
+
+    def test_majorize_negative_samples(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "-3",
+                                              "--seed", "1"])
+        assert (code, report) == (1, None)
+
+    def test_additivity_zero_samples(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["additivity", files["amp_sqrt2"],
+                                              files["amp_sqrt2"], "--samples", "0",
+                                              "--seed", "1"])
+        assert (code, report) == (1, None)
+
+    def test_wehrl_zero_samples(self, tmp_path):
+        code, report = run_to_file(tmp_path, ["wehrl", "--samples", "0", "--seed", "1"])
+        assert (code, report) == (1, None)
+
+    def test_majorize_cutoff_one(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
+                                              "--seed", "1", "--cutoff", "1"])
+        assert (code, report) == (1, None)
 
 
 class TestSelftest:

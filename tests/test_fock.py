@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gausslab import fock
+from gausslab.husimi import measure_reprepare_channel
 from gausslab.channels import (
     amplifier_channel,
     attenuator_channel,
@@ -165,6 +166,59 @@ class TestApplyKraus:
         kraus = fock.attenuator_kraus(0.5, fock.FockSpace(1, 20))
         with pytest.raises(DimensionMismatch):
             fock.apply_kraus(kraus, fock.density(fock.vacuum_state(space40)))
+
+
+def dense_sandwich(realized, rho: np.ndarray) -> np.ndarray:
+    """Reference for a one-mode channel: gauge phase, then
+    sum_l A_l rho A_l^dag per stage with the dense Kraus matrices."""
+    ph = np.exp(1j * realized.pipelines[0].phase * np.arange(realized.space.cutoff))
+    out = ph[:, None] * rho * ph.conj()[None, :]
+    for stage in realized.stages[0]:
+        if stage is not None:
+            out = sum(a @ out @ a.conj().T for a in stage.ops)
+    return out
+
+
+def operator_pair(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitian and a non-Hermitian operator with decaying entries."""
+    rng = np.random.default_rng(seed)
+    psi = fock.random_pure_state(seed, fock.FockSpace(1, d), support=8)
+    decay = np.exp(-np.add.outer(np.arange(d), np.arange(d)) / 8.0)
+    other = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) * decay
+    return np.outer(psi.amplitudes, psi.amplitudes.conj()), other
+
+
+class TestTransferKernel:
+    @pytest.mark.parametrize("ch,d", [
+        (attenuator_channel(0.6), 40),
+        (amplifier_channel(1.5), 40),
+        (classical_noise_channel(0.5), 40),
+        (build_channel(np.diag([0.5 * np.exp(0.7j)]), np.diag([0.6])), 40),
+        (measure_reprepare_channel(3.0), 128),
+    ], ids=["attenuator", "amplifier", "classical-noise", "phase", "measure-reprepare"])
+    def test_matches_dense_sandwich(self, ch, d):
+        realized = fock.realize_channel(ch, fock.FockSpace(1, d))
+        for rho in operator_pair(d, 41):
+            out = realized.apply(fock.FockOperator(realized.space, rho)).matrix
+            assert np.abs(out - dense_sandwich(realized, rho)).max() < 1e-12
+
+    @pytest.mark.parametrize("builder,param,n_max", [(fock.attenuator_kraus, 0.6, 30),
+                                                     (fock.amplifier_kraus, 1.2, 5),
+                                                     (fock.amplifier_kraus, 1.5, 39)])
+    def test_completeness_defect_matches_dense(self, space40, builder, param, n_max):
+        kraus = builder(param, space40)
+        total = sum(a.conj().T @ a for a in kraus.ops)
+        dense = np.abs(total[: n_max + 1, : n_max + 1] - np.eye(n_max + 1)).max()
+        assert abs(fock.kraus_completeness_defect(kraus, n_max) - dense) <= 1e-14 + 1e-9 * dense
+
+    def test_caches_stay_bounded(self):
+        space = fock.FockSpace(1, 8)
+        for i in range(fock.CACHE_SIZE + 3):
+            fock.realize_channel(attenuator_channel(0.05 * (i + 1)), space)
+        for cache in (fock._dilation_columns, fock._banded_kraus, fock._mode_transfer):
+            info = cache.cache_info()
+            assert info.maxsize == fock.CACHE_SIZE
+            assert info.currsize <= info.maxsize
 
 
 class TestGaugeRotation:
