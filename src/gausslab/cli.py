@@ -30,7 +30,13 @@ from .channels import (
     load_channel,
     strictness_conditions,
 )
-from .errors import FileFormatError, GaussLabError, UsageError, ValidityError
+from .errors import (
+    DimensionTooLarge,
+    FileFormatError,
+    GaussLabError,
+    UsageError,
+    ValidityError,
+)
 from .majorization import rows_to_csv, to_jsonable
 from .states import (
     minimal_output_entropy,
@@ -187,13 +193,10 @@ def _cmd_majorize(args) -> tuple[dict, bool, RunConfig]:
                        threads=args.threads, output=args.out,
                        extra=(("sample_support", args.support),))
     ch = load_channel(args.channel)
-    fs = mj.default_functionals()
-    reports = mj.optimality_sweep(ch, fs, n_samples=args.samples, seed=args.seed,
-                                  cutoff=args.cutoff, sample_support=args.support,
-                                  include_coherent_probes=False, threads=args.threads)
     sweep = mj.majorization_sweep(ch, n_samples=args.samples, seed=args.seed,
                                   cutoff=args.cutoff, sample_support=args.support,
                                   threads=args.threads)
+    reports = mj.optimality_reports(sweep, mj.default_functionals())
     min_gap = min(r.gap for r in reports)
     passed = min_gap >= -1e-8 and sweep.worst_deficit <= 1e-8
     all_rows = [row for rep in reports for row in rep.rows] + list(sweep.rows)
@@ -209,7 +212,6 @@ def _cmd_majorize(args) -> tuple[dict, bool, RunConfig]:
                          "worst_input": sweep.worst_input},
         "min_gap": min_gap,
     }
-    # both sweeps draw the same seeded samples, so they retry the same draws
     leak = {"max": max(r.leakage for r in all_rows), "rejected": sweep.rejected}
     return _report(config, results, {"gap": 1e-8, "partial_sums": 1e-8}, leak,
                    passed), passed, config
@@ -335,8 +337,9 @@ def _cmd_selftest(args) -> tuple[dict, bool, RunConfig]:
 
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``, else a usage error.
-    Sweeps take --samples >= 1 (no samples must never report a pass) and
-    every --cutoff is >= 2, the smallest Fock space."""
+    Sweeps take --samples >= 1 (no samples must never report a pass),
+    --support >= 1 (a sample occupies at least the vacuum) and every
+    --cutoff is >= 2, the smallest Fock space."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
@@ -385,7 +388,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cutoff", type=_int_at_least(2), default=40)
-    p.add_argument("--support", type=int, default=4, help="sample occupation bound")
+    p.add_argument("--support", type=_int_at_least(1), default=4,
+                   help="sample occupation bound")
     p.add_argument("--threads", type=int, default=_threads_default())
     p.add_argument("--csv", help="write per-sample rows here")
 
@@ -463,7 +467,8 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         report, passed, config = _HANDLERS[args.command](args)
-    except (FileFormatError, UsageError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FileFormatError, UsageError, DimensionTooLarge, FileNotFoundError,
+            IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except GaussLabError as exc:

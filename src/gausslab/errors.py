@@ -33,6 +33,10 @@ class NotQuantumLimitedAmplifier(NotQuantumLimited):
     """Operation requires a quantum-limited amplifier."""
 
 
+class DimensionTooLarge(GaussLabError, ValueError):
+    """A Fock space's total dimension exceeds the guard (``fock.DIM_GUARD``)."""
+
+
 class NotDiagonal(GaussLabError):
     """Operation requires diagonal transmission and noise matrices."""
 

@@ -39,6 +39,7 @@ from .channels import GaugeCovariantChannel
 from .errors import (
     AmplitudeTooLarge,
     DimensionMismatch,
+    DimensionTooLarge,
     InvalidState,
     NotDiagonal,
     NotHermitian,
@@ -63,7 +64,7 @@ class FockSpace:
         if self.cutoff < 2:
             raise ValueError("cutoff must be >= 2")
         if self.cutoff ** self.modes > DIM_GUARD:
-            raise ValueError(
+            raise DimensionTooLarge(
                 f"total dimension {self.cutoff ** self.modes} exceeds guard {DIM_GUARD}"
             )
 

@@ -32,7 +32,13 @@ from .errors import (
     TailMassTooLarge,
     TruncationLeakage,
 )
-from .majorization import ConcaveFunctional, OptimalityReport, SampleRow, trace_functional
+from .majorization import (
+    ConcaveFunctional,
+    OptimalityReport,
+    SampleRow,
+    parallel_map,
+    trace_functional,
+)
 
 TAIL_BUDGET = 1e-4
 NODE_CHUNK = 16384
@@ -367,8 +373,6 @@ def wehrl_optimality_test(a0: float, n_samples: int, seed: int,
     occupation) against the vacuum-input value, which equals the value of
     every coherent input by translation invariance.
     """
-    from .majorization import _parallel_map
-
     cutoff = cutoff or max(2 * probe_dim, 32)
     space = fock.FockSpace(1, cutoff)
     vac_field = husimi_density(fock.vacuum_state(space), a0, grid)
@@ -391,7 +395,7 @@ def wehrl_optimality_test(a0: float, n_samples: int, seed: int,
     for n in (1, 2):
         v, tail = evaluate(fock.number_state(space, n))
         record(f"fock({n})", v, tail, "probe")
-    sampled = _parallel_map(
+    sampled = parallel_map(
         lambda idx: evaluate(fock.random_pure_state([int(seed), idx], space,
                                                     support=probe_dim)),
         range(n_samples), threads)

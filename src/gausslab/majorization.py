@@ -6,6 +6,14 @@ are majorized by the vacuum output, that the strict-minimizer conditions
 produce strictly positive gaps, and that output purities multiply across
 tensor products.  These are statistical verifications at finite cutoff,
 not proofs.
+
+One sampling pass serves both halves of the majorization claim:
+:func:`majorization_sweep` maps the vacuum, the probes and the seeded
+samples (redrawn past the leakage budget) to output spectra once, and
+:func:`optimality_reports` reduces those same spectra by concave
+functionals.  Every channel application goes through the Fock transfer
+kernel (:meth:`gausslab.fock.FockChannel.apply`), the two-mode
+:func:`additivity_test` included.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from scipy.special import xlogy
 from . import fock
 from .channels import GaugeCovariantChannel, strictness_conditions
 from .errors import ConditionNotMet, TruncationLeakage
-from .states import output_purity
+from .states import output_purity, tensor_channel
 
 LEAKAGE_BUDGET = 1e-6
 MAJORIZATION_TOL = 1e-8
@@ -172,12 +180,6 @@ def default_pure_probes(space: fock.FockSpace,
     return probes
 
 
-def _sample_state(base_seed: int, index: int, retry: int,
-                  space: fock.FockSpace, support: int) -> fock.PureState:
-    return fock.random_pure_state([int(base_seed), int(index), int(retry)], space,
-                                  support=support)
-
-
 @dataclass(frozen=True)
 class SampleRow:
     seed: str
@@ -210,6 +212,10 @@ class SweepReport:
     seed: int
     rejected: int = 0
     rows: tuple[SampleRow, ...] = field(default=(), repr=False)
+    # The vacuum output spectrum and the output spectrum behind each row, for
+    # optimality_reports; arrays, so kept out of == and of the JSON report.
+    vacuum_spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    spectra: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -242,7 +248,7 @@ class AdditivityReport:
     rows: tuple[SampleRow, ...] = field(default=(), repr=False)
 
 
-def _parallel_map(fn, items, threads: int):
+def parallel_map(fn, items, threads: int):
     """Ordered map, optionally on a thread pool (BLAS releases the GIL).
     Per-item seeds are counter-derived, so results do not depend on the
     execution order or thread count."""
@@ -253,9 +259,24 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
+def _seeded_draw(evaluate, seed: int, index: int, space: fock.FockSpace, support: int,
+                 budget: float, max_retries: int = 8):
+    """Draw sample ``index`` of ``seed`` (retry r uses the seed triple
+    (seed, index, r)) until ``evaluate(psi) -> (result, leakage)`` leaks at
+    most ``budget``; returns (result, leakage, retries)."""
+    for retry in range(max_retries):
+        psi = fock.random_pure_state([int(seed), int(index), retry], space, support=support)
+        result, lk = evaluate(psi)
+        if lk <= budget:
+            return result, lk, retry
+    raise TruncationLeakage(
+        f"sample ({seed}, {index}) exceeded leakage budget {budget:.1e} "
+        f"after {max_retries} retries"
+    )
+
+
 class _SpectrumSampler:
-    """Shared machinery: realize the channel once, then map seeded samples
-    and probes to output spectra under the leakage budget."""
+    """Realize the channel once, then map states to output spectra."""
 
     def __init__(self, ch: GaugeCovariantChannel, cutoff: int,
                  sample_support: int = 4, leakage_budget: float = LEAKAGE_BUDGET):
@@ -276,19 +297,12 @@ class _SpectrumSampler:
         lam, _ = self.spectrum_of(fock.vacuum_state(self.space))
         return lam
 
-    def sampled_spectrum(self, base_seed: int, index: int,
-                         max_retries: int = 8) -> tuple[str, np.ndarray, float, int]:
-        for retry in range(max_retries):
-            psi = _sample_state(base_seed, index, retry, self.space, self.support)
-            lam, lk = self.spectrum_of(psi)
-            if lk <= self.budget:
-                tag = f"haar[{base_seed},{index}]" if retry == 0 else \
-                    f"haar[{base_seed},{index},{retry}]"
-                return tag, lam, lk, retry
-        raise TruncationLeakage(
-            f"sample ({base_seed}, {index}) exceeded leakage budget {self.budget:.1e} "
-            f"after {max_retries} retries"
-        )
+    def sampled_spectrum(self, base_seed: int, index: int) -> tuple[str, np.ndarray, float, int]:
+        lam, lk, retry = _seeded_draw(self.spectrum_of, base_seed, index, self.space,
+                                      self.support, self.budget)
+        tag = f"haar[{base_seed},{index}]" if retry == 0 else \
+            f"haar[{base_seed},{index},{retry}]"
+        return tag, lam, lk, retry
 
 
 def vacuum_optimality_test(ch: GaugeCovariantChannel, f: ConcaveFunctional,
@@ -313,47 +327,36 @@ def optimality_sweep(ch: GaugeCovariantChannel, fs, n_samples: int, seed: int,
                      cutoff: int = 40, sample_support: int = 4,
                      include_coherent_probes: bool = True,
                      threads: int = 1) -> list[OptimalityReport]:
-    """Same as :func:`vacuum_optimality_test` for a family of functionals,
-    computing each output spectrum once."""
-    fs = tuple(fs)
-    sampler = _SpectrumSampler(ch, cutoff, sample_support)
-    vac = sampler.vacuum_spectrum()
-    vacuum_values = [trace_functional(vac, f) for f in fs]
-    rows: list[list[SampleRow]] = [[] for _ in fs]
-    best = [(np.inf, "")] * len(fs)
-    rejected = 0
+    """Same as :func:`vacuum_optimality_test` for a family of functionals:
+    one :func:`majorization_sweep`, reduced by :func:`optimality_reports`."""
+    sweep = majorization_sweep(ch, n_samples, seed, cutoff=cutoff,
+                               sample_support=sample_support,
+                               include_coherent_probes=include_coherent_probes,
+                               threads=threads)
+    return optimality_reports(sweep, fs)
 
-    def record(tag: str, lam: np.ndarray, lk: float, seed_tag: str):
-        for i, f in enumerate(fs):
+
+def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
+    """Reduce the output spectra of one sweep by each functional in ``fs``:
+    the vacuum value, the lowest input value (the first input attaining it
+    names the report) and their gap."""
+    samples = sum(row.seed != "probe" for row in sweep.rows)
+    reports = []
+    for f in fs:
+        vacuum_value = trace_functional(sweep.vacuum_spectrum, f)
+        rows = []
+        for row, lam in zip(sweep.rows, sweep.spectra):
             v = trace_functional(lam, f)
-            rows[i].append(SampleRow(seed=seed_tag, label=tag, functional=f.label,
-                                     value=v, gap=v - vacuum_values[i], leakage=lk))
-            if v < best[i][0]:
-                best[i] = (v, tag)
-
-    if ch.modes == 1:
-        for tag, probe in default_pure_probes(sampler.space, include_coherent_probes):
-            lam, lk = sampler.spectrum_of(probe)
-            record(tag, lam, lk, "probe")
-    samples = _parallel_map(lambda idx: sampler.sampled_spectrum(seed, idx),
-                            range(n_samples), threads)
-    for tag, lam, lk, retries in samples:
-        rejected += retries
-        record(tag, lam, lk, str(seed))
-    return [
-        OptimalityReport(
-            vacuum_value=vacuum_values[i],
-            best_sampled_value=best[i][0],
-            best_input_descriptor=best[i][1],
-            gap=best[i][0] - vacuum_values[i],
-            samples=n_samples,
-            seed=seed,
-            functional=fs[i].label,
-            rejected=rejected,
-            rows=tuple(rows[i]),
-        )
-        for i in range(len(fs))
-    ]
+            rows.append(SampleRow(seed=row.seed, label=row.label, functional=f.label,
+                                  value=v, gap=v - vacuum_value, leakage=row.leakage))
+        best_value, best_input = min(((r.value, r.label) for r in rows),
+                                     key=lambda vt: vt[0], default=(np.inf, ""))
+        reports.append(OptimalityReport(
+            vacuum_value=vacuum_value, best_sampled_value=best_value,
+            best_input_descriptor=best_input, gap=best_value - vacuum_value,
+            samples=samples, seed=sweep.seed, functional=f.label,
+            rejected=sweep.rejected, rows=tuple(rows)))
+    return reports
 
 
 def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
@@ -363,35 +366,33 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
                        threads: int = 1) -> SweepReport:
     """Check that the vacuum-output spectrum majorizes every sampled output.
 
-    Leakage mass is left as a zero tail (never renormalized), which only
-    lowers the sampled partial sums.
+    The one sampling pass: the output spectra of the vacuum, the one-mode
+    probes and ``n_samples`` seeded samples (each redrawn until it leaks
+    at most the budget) are computed once and kept on the report for
+    :func:`optimality_reports`.  Leakage mass is left as a zero tail (never
+    renormalized), which only lowers the sampled partial sums.
     """
     sampler = _SpectrumSampler(ch, cutoff, sample_support)
     vac = sampler.vacuum_spectrum()
-    rows = []
-    passes = 0
-    rejected = 0
-    worst = (-np.inf, "")
-    results: list[tuple[str, np.ndarray, float, str]] = []
+    inputs = []  # (seed tag, label, spectrum, leakage)
     if ch.modes == 1:
         for tag, probe in default_pure_probes(sampler.space, include_coherent_probes):
-            lam, lk = sampler.spectrum_of(probe)
-            results.append((tag, lam, lk, "probe"))
-    samples = _parallel_map(lambda idx: sampler.sampled_spectrum(seed, idx),
-                            range(n_samples), threads)
-    for tag, lam, lk, retries in samples:
-        rejected += retries
-        results.append((tag, lam, lk, str(seed)))
-    for tag, lam, lk, seed_tag in results:
+            inputs.append(("probe", tag, *sampler.spectrum_of(probe)))
+    samples = parallel_map(lambda idx: sampler.sampled_spectrum(seed, idx),
+                           range(n_samples), threads)
+    inputs += [(str(seed), tag, lam, lk) for tag, lam, lk, _ in samples]
+    rows = []
+    for seed_tag, tag, lam, lk in inputs:
         deficit = partial_sum_deficit(vac, lam)
-        passes += int(deficit <= tol)
-        if deficit > worst[0]:
-            worst = (deficit, tag)
         rows.append(SampleRow(seed=seed_tag, label=tag, functional="partial-sums",
                               value=deficit, gap=deficit, leakage=lk))
-    return SweepReport(passes=passes, total=len(results), worst_deficit=worst[0],
-                       worst_input=worst[1], seed=seed, rejected=rejected,
-                       rows=tuple(rows))
+    worst_deficit, worst_input = max(((r.value, r.label) for r in rows),
+                                     key=lambda vt: vt[0], default=(-np.inf, ""))
+    return SweepReport(passes=sum(r.value <= tol for r in rows), total=len(rows),
+                       worst_deficit=worst_deficit, worst_input=worst_input, seed=seed,
+                       rejected=sum(retries for *_, retries in samples),
+                       rows=tuple(rows), vacuum_spectrum=vac,
+                       spectra=tuple(lam for _, _, lam, _ in inputs))
 
 
 def optimize_input(ch: GaugeCovariantChannel, f: ConcaveFunctional,
@@ -498,23 +499,6 @@ def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
 # Additivity of output purities across tensor products.
 # ---------------------------------------------------------------------------
 
-def _mode_kraus_product(realized: fock.FockChannel, mode: int,
-                        support: int) -> list[np.ndarray]:
-    """Composite one-mode Kraus list (amplifier after attenuator after phase),
-    with attenuator labels trimmed to the sampled occupation support."""
-    att, amp = realized.stages[mode]
-    d = realized.space.cutoff
-    phase = realized.pipelines[mode].phase
-    rot = np.exp(1j * phase * np.arange(d))
-    ops: list[np.ndarray] = [np.diag(rot)]
-    if att is not None:
-        ops = [A @ np.diag(rot) for A in att.ops[: support + 1]]
-    if amp is not None:
-        base = ops
-        ops = [B @ A for B in amp.ops for A in base]
-    return ops
-
-
 def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float,
                     n_samples: int, seed: int, cutoff: int = 30,
                     sample_support: int = 3,
@@ -522,48 +506,30 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
                     threads: int = 1) -> AdditivityReport:
     """Fock check of nu_p(a (x) b) = nu_p(a) nu_p(b) on entangled inputs.
 
-    Samples Haar two-mode pure states with bounded occupation, computes
-    Tr ((a (x) b)[rho])^p through the Gram matrix of the Kraus images, and
-    compares to the closed-form bound; vacuum (x) vacuum must attain it.
+    Samples Haar two-mode pure states with bounded occupation, applies
+    a (x) b through its transfer kernel, computes Tr out^p (at p = 2 the
+    squared Frobenius norm, otherwise from the eigenvalues) and compares it
+    to the closed-form bound; vacuum (x) vacuum must attain it.
     """
     if a.modes != 1 or b.modes != 1:
         raise ConditionNotMet("additivity_test needs one-mode factors")
     bound = output_purity(a, p) * output_purity(b, p)
     space = fock.FockSpace(2, cutoff)
-    ra = fock.realize_channel(a, fock.FockSpace(1, cutoff))
-    rb = fock.realize_channel(b, fock.FockSpace(1, cutoff))
-    ops_a = _mode_kraus_product(ra, 0, sample_support)
-    ops_b = _mode_kraus_product(rb, 0, sample_support)
-    stack_b = np.stack(ops_b)
+    realized = fock.realize_channel(tensor_channel(a, b), space)
 
     def purity_of(psi: fock.PureState) -> tuple[float, float]:
-        mat = psi.amplitudes.reshape(cutoff, cutoff)
-        vs = []
-        for A in ops_a:
-            t = A @ mat
-            block = np.einsum("ab,mcb->mac", t, stack_b, optimize=True)
-            vs.append(block.reshape(len(ops_b), -1))
-        v = np.concatenate(vs, axis=0)
-        gram = v @ v.conj().T
-        trace = float(np.real(np.trace(gram)))
+        out = realized.apply_pure(psi).matrix
         if abs(p - 2.0) < 1e-12:
-            val = float(np.sum(np.abs(gram) ** 2))
+            val = float(np.sum(np.abs(out) ** 2))
         else:
-            lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+            lam = np.clip(np.linalg.eigvalsh(out), 0.0, None)
             val = float(np.sum(lam ** p))
-        return val, 1.0 - trace
+        return val, 1.0 - float(np.real(np.trace(out)))
 
     vacuum_value, _ = purity_of(fock.vacuum_state(space))
-
-    def sample_worker(idx: int) -> tuple[float, float, int]:
-        for retry in range(8):
-            psi = _sample_state(seed, idx, retry, space, sample_support)
-            value, lk = purity_of(psi)
-            if lk <= leakage_budget:
-                return value, lk, retry
-        raise TruncationLeakage(f"additivity sample ({seed}, {idx}) kept leaking")
-
-    outcomes = _parallel_map(sample_worker, range(n_samples), threads)
+    outcomes = parallel_map(
+        lambda idx: _seeded_draw(purity_of, seed, idx, space, sample_support, leakage_budget),
+        range(n_samples), threads)
     rows = []
     rejected = 0
     max_value = -np.inf
@@ -583,9 +549,11 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
 # ---------------------------------------------------------------------------
 
 def to_jsonable(obj):
-    """Recursively convert dataclass reports / numpy values for json.dump."""
+    """Recursively convert dataclass reports / numpy values for json.dump.
+    Dataclass fields kept out of equality (a sweep's spectra) are left out."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.compare}
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):

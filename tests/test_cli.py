@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gausslab import cli, dump_channel
+from gausslab import cli, dump_channel, fock
 from gausslab import majorization as mj
 from gausslab.channels import (
     amplifier_channel,
@@ -11,6 +11,7 @@ from gausslab.channels import (
     classical_noise_channel,
     identity_channel,
 )
+from gausslab.states import tensor_channel
 
 
 @pytest.fixture()
@@ -20,7 +21,9 @@ def files(tmp_path):
                      ("amp_sqrt2", amplifier_channel(np.sqrt(2))),
                      ("amp15", amplifier_channel(1.5)),
                      ("att07", attenuator_channel(0.7)),
-                     ("noise05", classical_noise_channel(0.5))]:
+                     ("noise05", classical_noise_channel(0.5)),
+                     ("pair", tensor_channel(attenuator_channel(0.6),
+                                             amplifier_channel(1.2)))]:
         p = tmp_path / f"{name}.json"
         dump_channel(ch, p)
         paths[name] = str(p)
@@ -160,6 +163,25 @@ class TestSweepCommands:
         assert sweep.rejected >= 1
         assert report["leakage"]["rejected"] == sweep.rejected
 
+    def test_majorize_computes_each_output_spectrum_once(self, monkeypatch, tmp_path, files):
+        # one spectrum for the vacuum, each of the four probes and each draw,
+        # redrawn ones included; the functionals and the partial sums both
+        # reduce those same spectra
+        calls = []
+        spectrum = fock.spectrum
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return spectrum(*args, **kwargs)
+
+        monkeypatch.setattr(fock, "spectrum", counted)
+        code, report = run_to_file(tmp_path, ["majorize", files["amp15"], "--samples", "6",
+                                              "--seed", "1", "--cutoff", "35"])
+        assert code == 0
+        rejected = report["leakage"]["rejected"]
+        assert rejected >= 1
+        assert len(calls) == 1 + 4 + 6 + rejected
+
     def test_threads_env_fallback(self, monkeypatch, tmp_path, files):
         monkeypatch.setenv("GAUSSLAB_THREADS", "3")
         code, report = run_to_file(tmp_path, ["majorize", files["att07"],
@@ -189,6 +211,29 @@ class TestArgumentBounds:
     def test_majorize_cutoff_one(self, tmp_path, files):
         code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
                                               "--seed", "1", "--cutoff", "1"])
+        assert (code, report) == (1, None)
+
+    def test_majorize_zero_support(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
+                                              "--seed", "1", "--support", "0"])
+        assert (code, report) == (1, None)
+
+    # a --cutoff whose Fock dimension (cutoff ** modes) exceeds fock.DIM_GUARD
+
+    def test_majorize_cutoff_above_dimension_guard(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
+                                              "--seed", "1", "--cutoff", "5000"])
+        assert (code, report) == (1, None)
+
+    def test_two_mode_majorize_cutoff_above_dimension_guard(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["majorize", files["pair"], "--samples", "1",
+                                              "--seed", "1", "--cutoff", "65"])
+        assert (code, report) == (1, None)
+
+    def test_additivity_cutoff_above_dimension_guard(self, tmp_path, files):
+        code, report = run_to_file(tmp_path, ["additivity", files["amp_sqrt2"],
+                                              files["amp_sqrt2"], "--samples", "1",
+                                              "--seed", "1", "--cutoff", "70"])
         assert (code, report) == (1, None)
 
 

@@ -115,12 +115,10 @@ class TestVacuumOptimality:
     def test_two_mode_tensor_channel(self, att06):
         from gausslab.states import tensor_channel
         ch = tensor_channel(att06, amplifier_channel(1.2))
-        rep = mj.vacuum_optimality_test(ch, mj.von_neumann_functional(),
-                                        n_samples=15, seed=19, cutoff=24,
-                                        sample_support=3)
-        assert rep.gap >= -1e-8
         sweep = mj.majorization_sweep(ch, n_samples=15, seed=19, cutoff=24,
                                       sample_support=3)
+        rep, = mj.optimality_reports(sweep, (mj.von_neumann_functional(),))
+        assert rep.gap >= -1e-8
         assert sweep.passes == sweep.total
 
 
@@ -232,7 +230,60 @@ class TestStrictGapProbe:
             mj.strict_gap_probe(amp15, mj.threshold_functional(0.3))
 
 
+def _composite_kraus(ch, cutoff: int, support: int) -> list[np.ndarray]:
+    """Dense one-mode Kraus list of ``ch`` (amplifier after attenuator after
+    phase), attenuator labels trimmed to the sampled occupation support."""
+    realized = fock.realize_channel(ch, fock.FockSpace(1, cutoff))
+    att, amp = realized.stages[0]
+    rot = np.diag(np.exp(1j * realized.pipelines[0].phase * np.arange(cutoff)))
+    ops = [rot] if att is None else [A @ rot for A in att.ops[: support + 1]]
+    return ops if amp is None else [B @ A for B in amp.ops for A in ops]
+
+
+def _gram_purity(ops_a, ops_b, psi, p: float) -> tuple[float, float]:
+    """Tr ((a (x) b)[psi])^p and the leakage, from the Gram matrix of the
+    Kraus images (A (x) B) psi, which shares the output's nonzero spectrum."""
+    mat = psi.amplitudes.reshape(len(ops_a[0]), -1)
+    v = np.stack([(A @ mat @ B.T).ravel() for A in ops_a for B in ops_b])
+    gram = v @ v.conj().T
+    if p == 2.0:
+        value = float(np.sum(np.abs(gram) ** 2))
+    else:
+        value = float(np.sum(np.clip(np.linalg.eigvalsh(gram), 0.0, None) ** p))
+    return value, 1.0 - float(np.real(np.trace(gram)))
+
+
 class TestAdditivity:
+    @pytest.mark.parametrize("gains,p,cutoff", [
+        ((np.sqrt(2), np.sqrt(2)), 1.5, 28),
+        ((np.sqrt(2), np.sqrt(2)), 2.0, 28),
+        ((np.sqrt(2), np.sqrt(2)), 3.0, 28),
+        ((1.5, 0.7), 2.0, 40),
+    ])
+    def test_matches_dense_kraus_gram_reference(self, gains, p, cutoff):
+        # same seeded draws and redraws as additivity_test, evaluated through
+        # dense composite Kraus lists instead of the transfer kernel; at
+        # cutoff 28 some draws through the sqrt2 amplifiers leak and are redrawn
+        a, b = (amplifier_channel(g) if g > 1 else attenuator_channel(g) for g in gains)
+        n_samples, seed, support = 3, 2, 3
+        rep = mj.additivity_test(a, b, p, n_samples=n_samples, seed=seed, cutoff=cutoff,
+                                 sample_support=support)
+        ops_a, ops_b = _composite_kraus(a, cutoff, support), _composite_kraus(b, cutoff, support)
+        space = fock.FockSpace(2, cutoff)
+        vacuum, _ = _gram_purity(ops_a, ops_b, fock.vacuum_state(space), p)
+        values, rejected = [], 0
+        for idx in range(n_samples):
+            for retry in range(8):
+                psi = fock.random_pure_state([seed, idx, retry], space, support=support)
+                value, leakage = _gram_purity(ops_a, ops_b, psi, p)
+                if leakage <= mj.LEAKAGE_BUDGET:
+                    break
+                rejected += 1
+            values.append(value)
+        assert rep.vacuum_value == pytest.approx(vacuum, abs=1e-12)
+        assert [r.value for r in rep.rows] == pytest.approx(values, abs=1e-12)
+        assert rep.rejected == rejected
+
     def test_identity_pair(self):
         rep = mj.additivity_test(identity_channel(1), identity_channel(1), 2.0,
                                  n_samples=10, seed=3, cutoff=16)
