@@ -31,6 +31,7 @@ from .channels import (
     strictness_conditions,
 )
 from .errors import (
+    AmplitudeTooLarge,
     DimensionTooLarge,
     FileFormatError,
     GaussLabError,
@@ -289,7 +290,13 @@ def _parse_probe(name: str, space: fock.FockSpace) -> fock.PureState:
     if name in _PROBE_BUILDERS:
         return _PROBE_BUILDERS[name](space)
     if name.startswith("coherent:"):
-        return fock.coherent_state(complex(name.split(":", 1)[1]), space)
+        try:
+            zeta = complex(name.split(":", 1)[1])
+            if np.isfinite(zeta):
+                return fock.coherent_state(zeta, space)
+        except (ValueError, AmplitudeTooLarge) as exc:
+            raise UsageError(f"bad coherent probe '{name}': {exc}") from exc
+        raise UsageError(f"coherent probe '{name}' is not finite")
     raise UsageError(f"unknown probe '{name}' (vacuum, fock1, fock2, coherent:<z>)")
 
 
@@ -303,15 +310,13 @@ def _cmd_berezinlieb(args) -> tuple[dict, bool, RunConfig]:
     space = fock.FockSpace(1, 40)
     probe = _parse_probe(args.probe, space)
     f = _functional(args.f, args.p)
-    rep = hu.berezin_lieb_check(probe, args.c, args.a0, args.a0p, f, grid,
-                                cutoff=args.cutoff)
-    conv = hu.convolution_check(probe, args.c, args.a0, args.a0p, grid,
-                                cutoff=args.cutoff)
+    fields = hu.berezin_lieb_fields(probe, args.c, args.a0, args.a0p, grid,
+                                    cutoff=args.cutoff)
+    rep = hu.berezin_lieb_check(fields, f)
+    conv = hu.convolution_check(fields)
     passed = rep.sandwiched(1e-3) and conv.sup_deviation <= 2e-3
     if args.field_csv:
-        field = hu.upper_symbol(probe, args.c, args.a0, args.a0p, grid,
-                                cutoff=args.cutoff)
-        hu.field_to_csv(field, args.field_csv)
+        hu.field_to_csv(hu.husimi_density(fields.sigma, args.a0p, grid), args.field_csv)
     results = {"lower": rep.lower, "middle": rep.middle, "upper": rep.upper,
                "min_slack": rep.min_slack, "convolution_deviation": conv.sup_deviation}
     return _report(config, results, {"sandwich_slack": 1e-3, "convolution": 2e-3},
@@ -338,14 +343,29 @@ def _cmd_selftest(args) -> tuple[dict, bool, RunConfig]:
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``, else a usage error.
     Sweeps take --samples >= 1 (no samples must never report a pass),
-    --support >= 1 (a sample occupies at least the vacuum) and every
-    --cutoff is >= 2, the smallest Fock space."""
+    --support and --probe-dim >= 1 (a sample occupies at least the vacuum)
+    and every --cutoff is >= 2, the smallest Fock space."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
+def _finite_float(low: float, strict: bool):
+    """argparse type: a finite float above ``low`` (``strict``) or at least
+    ``low``, else a usage error.  Phase-space commands take --c > 0, --a0 and
+    --a0p >= 1/2 (no reference below the vacuum) and --grid-step,
+    --grid-radius > 0."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not np.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low:g}, got {text}")
+        return value
+    parse.__name__ = "float"
     return parse
 
 
@@ -410,30 +430,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(2), default=40)
 
+    positive = _finite_float(0.0, strict=True)
+    reference = _finite_float(0.5, strict=False)
     p = sub.add_parser("wehrl", help="classical-functional minimality sweep")
     p.add_argument("--out")
-    p.add_argument("--a0", type=float, default=0.5)
+    p.add_argument("--a0", type=reference, default=0.5)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid-radius", type=float, default=6.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-radius", type=positive, default=6.0)
+    p.add_argument("--grid-step", type=positive, default=0.05)
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--probe-dim", type=int, default=16)
+    p.add_argument("--probe-dim", type=_int_at_least(1), default=16)
     p.add_argument("--threads", type=int, default=_threads_default())
     p.add_argument("--csv")
 
     p = sub.add_parser("berezinlieb", help="sandwich and convolution identity check")
     p.add_argument("--out")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--a0", type=float, default=0.5)
-    p.add_argument("--a0p", type=float, default=0.5)
+    p.add_argument("--c", type=positive, required=True)
+    p.add_argument("--a0", type=reference, default=0.5)
+    p.add_argument("--a0p", type=reference, default=0.5)
     p.add_argument("--probe", default="vacuum")
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(2), default=128)
-    p.add_argument("--grid-radius", type=float, default=6.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-radius", type=positive, default=6.0)
+    p.add_argument("--grid-step", type=positive, default=0.05)
     p.add_argument("--field-csv", help="dump the upper-symbol field (x, y, p)")
 
     p = sub.add_parser("selftest", help="run the acceptance criteria at reduced scale")

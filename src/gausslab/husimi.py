@@ -7,10 +7,16 @@ classical functionals by grid quadrature, the measure-reprepare channel,
 its smoothing/convolution identity, and the generalized Berezin-Lieb
 sandwich.
 
-Densities are evaluated in closed form through displaced number states:
-``D(z)|0>`` is the coherent column and ``D(z)|k+1> = (a^dag - conj(z))
-D(z)|k> / sqrt(k+1)``, so arbitrary node sets (including the rescaled ones
-used by the sandwich and convolution checks) need no interpolation.
+There is one evaluator, the vacuum-reference density ``<z|rho|z>`` from
+closed-form coherent columns ``<m|D(z)|0>``, so arbitrary node sets
+(including the rescaled ones used by the sandwich and convolution checks)
+need no interpolation.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
+reduced to it by gauge-covariant channel duality,
+``p^{a0}_rho(z) = kappa^-2 Q_{L[rho]}(z / kappa)``, where ``L`` is the
+quantum-limited attenuator of transmission ``1/kappa`` applied on the Fock
+transfer kernel.  :func:`berezin_lieb_fields` makes one pass per input
+(one channel application, one evaluation at the rescaled nodes, one
+smoothing) and the sandwich, convolution and smoothing checks reduce it.
 """
 
 from __future__ import annotations
@@ -97,14 +103,6 @@ class ReferenceState:
     def n_mean(self) -> float:
         return max(self.a0 - 0.5, 0.0)
 
-    def weights(self, floor: float = 1e-18) -> np.ndarray:
-        n0 = self.n_mean
-        if n0 == 0.0:
-            return np.ones(1)
-        k_max = int(np.ceil(np.log(floor * (n0 + 1.0)) / np.log(n0 / (n0 + 1.0))))
-        k = np.arange(k_max + 1, dtype=float)
-        return np.exp(k * np.log(n0 / (n0 + 1.0)) - np.log(n0 + 1.0))
-
 
 @dataclass(frozen=True)
 class HusimiField:
@@ -133,54 +131,42 @@ def _coherent_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
     return cols
 
 
-def _raise_column(phi: np.ndarray, z_flat: np.ndarray, k: int) -> np.ndarray:
-    """phi_{k+1} from phi_k via (a^dag - conj(z)) / sqrt(k+1)."""
-    dim = phi.shape[1]
-    out = np.empty_like(phi)
-    roots = np.sqrt(np.arange(1, dim))
-    out[:, 0] = -np.conj(z_flat) * phi[:, 0]
-    out[:, 1:] = roots[None, :] * phi[:, :-1] - np.conj(z_flat)[:, None] * phi[:, 1:]
-    return out / np.sqrt(k + 1.0)
-
-
 def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
-    """p(z) = Tr[state . D(z) rho0 D(z)*] at arbitrary complex nodes."""
+    """p(z) = Tr[state . D(z) rho0 D(z)*] at arbitrary complex nodes.
+
+    A thermal reference reduces to the vacuum one by attenuator duality:
+    p(z) = kappa^-2 Q_{L[state]}(z / kappa) with kappa^2 = a0 + 1/2, where L
+    is the quantum-limited attenuator of transmission 1/kappa and Q the
+    vacuum-reference density <w| . |w>.
+    """
     ref = _as_reference(ref)
-    shape = np.shape(z_nodes)
+    if state.space.modes != 1:
+        raise DimensionMismatch("husimi evaluation is one-mode")
     z_flat = np.asarray(z_nodes, dtype=np.complex128).ravel()
+    scale = 1.0
+    if ref.n_mean > 0:
+        kappa = float(np.sqrt(ref.a0 + 0.5))
+        rho = state if isinstance(state, fock.FockOperator) else fock.density(state)
+        state = fock.apply_kraus(fock.attenuator_kraus(1.0 / kappa, rho.space), rho)
+        z_flat, scale = z_flat / kappa, kappa ** -2
     if isinstance(state, fock.PureState):
-        if state.space.modes != 1:
-            raise DimensionMismatch("husimi evaluation is one-mode")
-        dim = state.space.cutoff
-        factors = state.amplitudes[None, :]
-        pure = True
+        amplitudes = state.amplitudes
     else:
-        if state.space.modes != 1:
-            raise DimensionMismatch("husimi evaluation is one-mode")
-        dim = state.space.cutoff
         w, v = np.linalg.eigh(0.5 * (state.matrix + state.matrix.conj().T))
         keep = w > 1e-15
-        factors = (np.sqrt(w[keep])[:, None] * v[:, keep].T.conj())
-        pure = False
-    weights = ref.weights()
+        factors = np.sqrt(w[keep])[:, None] * v[:, keep].T.conj()
     out = np.zeros(z_flat.size)
     for start in range(0, z_flat.size, NODE_CHUNK):
         sl = slice(start, min(start + NODE_CHUNK, z_flat.size))
-        z = z_flat[sl]
-        phi = _coherent_columns(z, dim)
-        acc = np.zeros(z.size)
-        for k, qk in enumerate(weights):
-            if k > 0:
-                phi = _raise_column(phi, z, k - 1)
-            if pure:
-                acc += qk * np.abs(phi.conj() @ factors[0]) ** 2
-            else:
-                acc += qk * (np.abs(phi.conj() @ factors.T.conj()) ** 2).sum(axis=1)
-        out[sl] = acc
-    out = np.where(out < 0, 0.0, out)
+        phi = _coherent_columns(z_flat[sl], state.space.cutoff).conj()
+        if isinstance(state, fock.PureState):
+            out[sl] = np.abs(phi @ amplitudes) ** 2
+        else:
+            out[sl] = (np.abs(phi @ factors.T.conj()) ** 2).sum(axis=1)
+    out = scale * np.where(out < 0, 0.0, out)
     if out.max(initial=0.0) > 1.0 + 1e-8:
         raise InvalidState(f"husimi density exceeds 1: max {out.max():.6f}")
-    return out.reshape(shape)
+    return out.reshape(np.shape(z_nodes))
 
 
 def _occupation_probabilities(state) -> np.ndarray:
@@ -274,11 +260,39 @@ def _measure_reprepare_output(state, c: float, a0: float, a0p: float,
     return out
 
 
-def upper_symbol(state, c: float, a0: float, a0p: float, grid: PhaseSpaceGrid,
-                 cutoff: int = 128, leakage_budget: float = TAIL_BUDGET) -> HusimiField:
-    """Husimi density of the measure-reprepare output with reference a0'."""
+@dataclass(frozen=True)
+class BerezinLiebFields:
+    """The fields every Berezin-Lieb reduction of one input reads.
+
+    ``sigma`` is the measure-reprepare output Phi_c[state] and ``spectrum``
+    its eigenvalues, ``p_in`` the a0-density of the input on the grid nodes,
+    ``p_bar_scaled`` the a0'-density of sigma at the rescaled nodes c z and
+    ``smoothed`` the lattice convolution p_in * q_{a0'/c^2}.
+    """
+
+    c: float
+    grid: PhaseSpaceGrid
+    sigma: fock.FockOperator
+    spectrum: np.ndarray
+    p_in: np.ndarray
+    p_bar_scaled: np.ndarray
+    smoothed: np.ndarray
+
+
+def berezin_lieb_fields(state, c: float, a0: float, a0p: float, grid: PhaseSpaceGrid,
+                        cutoff: int = 128,
+                        leakage_budget: float = TAIL_BUDGET) -> BerezinLiebFields:
+    """One pass: one channel application, the input density on the grid, the
+    output density at the rescaled nodes and one smoothing, for the sandwich,
+    the convolution identity and the smoothing limit to reduce."""
+    p_in = husimi_values(state, a0, grid.nodes)
+    total = grid.integrate(p_in)
+    if abs(total - 1.0) > 1e-3:
+        raise QuadratureError(f"lower-symbol mass on the grid is {total!r}, expected 1")
     sigma = _measure_reprepare_output(state, c, a0, a0p, cutoff, leakage_budget)
-    return husimi_density(sigma, a0p, grid)
+    return BerezinLiebFields(c=c, grid=grid, sigma=sigma, spectrum=fock.spectrum(sigma),
+                             p_in=p_in, p_bar_scaled=husimi_values(sigma, a0p, c * grid.nodes),
+                             smoothed=smooth_field(p_in, c, a0p, grid))
 
 
 @dataclass(frozen=True)
@@ -297,10 +311,7 @@ class BerezinLiebReport:
         return self.min_slack >= -slack
 
 
-def berezin_lieb_check(state, c: float, a0: float, a0p: float,
-                       f: ConcaveFunctional, grid: PhaseSpaceGrid,
-                       cutoff: int = 128,
-                       leakage_budget: float = TAIL_BUDGET) -> BerezinLiebReport:
+def berezin_lieb_check(fields: BerezinLiebFields, f: ConcaveFunctional) -> BerezinLiebReport:
     """Sandwich for the measure-reprepare output sigma = Phi_c[state]:
 
         int f(lower symbol) <= Tr f(sigma) <= int f(upper symbol),
@@ -309,15 +320,10 @@ def berezin_lieb_check(state, c: float, a0: float, a0p: float,
     density of sigma.  Both integrals are pulled back to the base grid by
     the substitution z -> c z (jacobian c^2), so no enlarged grid is needed.
     """
-    p_in = husimi_values(state, a0, grid.nodes)
-    total = grid.integrate(p_in)
-    if abs(total - 1.0) > 1e-3:
-        raise QuadratureError(f"lower-symbol mass on the grid is {total!r}, expected 1")
-    lower = c ** 2 * grid.integrate(np.asarray(f(p_in / c ** 2)))
-    sigma = _measure_reprepare_output(state, c, a0, a0p, cutoff, leakage_budget)
-    middle = trace_functional(fock.spectrum(sigma), f)
-    p_bar_scaled = husimi_values(sigma, a0p, c * grid.nodes)
-    upper = c ** 2 * grid.integrate(np.asarray(f(p_bar_scaled)))
+    c, grid = fields.c, fields.grid
+    lower = c ** 2 * grid.integrate(np.asarray(f(fields.p_in / c ** 2)))
+    middle = trace_functional(fields.spectrum, f)
+    upper = c ** 2 * grid.integrate(np.asarray(f(fields.p_bar_scaled)))
     return BerezinLiebReport(lower=lower, middle=middle, upper=upper, c=c,
                              functional=f.label)
 
@@ -328,39 +334,31 @@ class ConvolutionReport:
     c: float
 
 
-def convolution_check(state, c: float, a0: float, a0p: float,
-                      grid: PhaseSpaceGrid, cutoff: int = 128,
-                      leakage_budget: float = TAIL_BUDGET) -> ConvolutionReport:
+def convolution_check(fields: BerezinLiebFields) -> ConvolutionReport:
     """Identity  p_bar(z) = c^{-2} (p_state * q_{a0'/c^2})(z/c).
 
     The left side is the upper symbol evaluated at the rescaled nodes c u;
     the right side is a lattice convolution on the base grid.  Returns the
     sup-norm deviation over the grid disc.
     """
-    sigma = _measure_reprepare_output(state, c, a0, a0p, cutoff, leakage_budget)
-    lhs = husimi_values(sigma, a0p, c * grid.nodes)
-    rhs = c ** -2 * smooth_field(state, c, a0, a0p, grid)
-    dev = np.abs(lhs - rhs)[grid.mask].max()
+    c = fields.c
+    dev = np.abs(fields.p_bar_scaled - c ** -2 * fields.smoothed)[fields.grid.mask].max()
     return ConvolutionReport(sup_deviation=float(dev), c=c)
 
 
-def smooth_field(state, c: float, a0: float, a0p: float,
+def smooth_field(p_in: np.ndarray, c: float, a0p: float,
                  grid: PhaseSpaceGrid) -> np.ndarray:
-    """(p_state * q_{a0'/c^2})(z) on the grid, by FFT lattice convolution."""
-    p_in = husimi_values(state, a0, grid.nodes)
+    """(p_in * q_{a0'/c^2})(z) on the grid, by FFT lattice convolution."""
     kernel = normal_density(_as_reference(a0p).a0 / c ** 2, grid).values
     return fftconvolve(p_in, kernel, mode="same") * grid.weight
 
 
-def smoothing_deviation(state, c: float, a0: float, a0p: float,
-                        grid: PhaseSpaceGrid, f: ConcaveFunctional) -> float:
+def smoothing_deviation(fields: BerezinLiebFields, f: ConcaveFunctional) -> float:
     """| int f(p) - int f(p * q_{a0'/c^2}) |, the quantity driven to zero by
     large c in the smoothing limit."""
-    p_in = husimi_values(state, a0, grid.nodes)
-    smoothed = smooth_field(state, c, a0, a0p, grid)
-    lhs = grid.integrate(np.asarray(f(p_in)))
-    rhs = grid.integrate(np.asarray(f(smoothed)))
-    return abs(lhs - rhs)
+    grid = fields.grid
+    return abs(grid.integrate(np.asarray(f(fields.p_in)))
+               - grid.integrate(np.asarray(f(fields.smoothed))))
 
 
 def wehrl_optimality_test(a0: float, n_samples: int, seed: int,
@@ -417,4 +415,5 @@ def field_to_csv(field: HusimiField, path) -> None:
         for i in range(xs.size):
             for j in range(xs.size):
                 if grid.mask[i, j]:
-                    writer.writerow([repr(xs[i]), repr(xs[j]), repr(field.values[i, j])])
+                    writer.writerow([repr(float(xs[i])), repr(float(xs[j])),
+                                     repr(float(field.values[i, j]))])

@@ -255,20 +255,11 @@ def criterion_9_berezin_lieb(scale: float = 1.0) -> CriterionResult:
     worst_slack = np.inf
     worst_conv = 0.0
     for c in cs:
-        for pname, probe in probes.items():
-            # share the channel output and field evaluations across checks
-            sigma = hu._measure_reprepare_output(probe, c, 0.5, 0.5, 128, 1e-4)
-            p_in = hu.husimi_values(probe, 0.5, grid.nodes)
-            p_bar_scaled = hu.husimi_values(sigma, 0.5, c * grid.nodes)
-            smoothed = hu.smooth_field(probe, c, 0.5, 0.5, grid)
-            worst_conv = max(worst_conv, float(
-                np.abs(p_bar_scaled - smoothed / c ** 2)[grid.mask].max()))
-            lam = fock.spectrum(sigma)
+        for probe in probes.values():
+            fields = hu.berezin_lieb_fields(probe, c, 0.5, 0.5, grid)
+            worst_conv = max(worst_conv, hu.convolution_check(fields).sup_deviation)
             for f in fs:
-                lower = c ** 2 * grid.integrate(np.asarray(f(p_in / c ** 2)))
-                middle = mj.trace_functional(lam, f)
-                upper = c ** 2 * grid.integrate(np.asarray(f(p_bar_scaled)))
-                worst_slack = min(worst_slack, middle - lower, upper - middle)
+                worst_slack = min(worst_slack, hu.berezin_lieb_check(fields, f).min_slack)
     passed = worst_slack >= -1e-3 and worst_conv <= 2e-3
     return CriterionResult(9, "Berezin-Lieb sandwich and convolution identity",
                            passed, time.time() - t0,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausslab import cli, dump_channel, fock
+from gausslab import husimi as hu
 from gausslab import majorization as mj
 from gausslab.channels import (
     amplifier_channel,
@@ -182,6 +183,30 @@ class TestSweepCommands:
         assert rejected >= 1
         assert len(calls) == 1 + 4 + 6 + rejected
 
+    def test_berezinlieb_applies_the_channel_and_evaluates_rescaled_nodes_once(
+            self, monkeypatch, tmp_path):
+        # the sandwich and the convolution identity reduce one set of fields:
+        # one measure-reprepare application and one evaluation of its output
+        # (the only mixed state of the verdict) at the rescaled nodes
+        applies, output_evals = [], []
+        apply, values = fock.FockChannel.apply, hu.husimi_values
+
+        def counted_apply(self, rho):
+            applies.append(1)
+            return apply(self, rho)
+
+        def counted_values(state, ref, z_nodes):
+            if isinstance(state, fock.FockOperator):
+                output_evals.append(1)
+            return values(state, ref, z_nodes)
+
+        monkeypatch.setattr(fock.FockChannel, "apply", counted_apply)
+        monkeypatch.setattr(hu, "husimi_values", counted_values)
+        code, _ = run_to_file(tmp_path, ["berezinlieb", "--c", "2", "--probe", "fock1",
+                                         "--grid-step", "0.2", "--cutoff", "96"])
+        assert code == 0
+        assert (len(applies), len(output_evals)) == (1, 1)
+
     def test_threads_env_fallback(self, monkeypatch, tmp_path, files):
         monkeypatch.setenv("GAUSSLAB_THREADS", "3")
         code, report = run_to_file(tmp_path, ["majorize", files["att07"],
@@ -234,6 +259,54 @@ class TestArgumentBounds:
         code, report = run_to_file(tmp_path, ["additivity", files["amp_sqrt2"],
                                               files["amp_sqrt2"], "--samples", "1",
                                               "--seed", "1", "--cutoff", "70"])
+        assert (code, report) == (1, None)
+
+
+    # phase-space arguments: out of range, not finite or not a number
+
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_wehrl_probe_dim(self, tmp_path, value):
+        code, report = run_to_file(tmp_path, ["wehrl", "--samples", "1", "--seed", "1",
+                                              "--probe-dim", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["nan", "0.3", "inf"])
+    def test_wehrl_a0(self, tmp_path, value):
+        code, report = run_to_file(tmp_path, ["wehrl", "--samples", "1", "--seed", "1",
+                                              "--a0", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-2", "inf"])
+    def test_berezinlieb_c(self, tmp_path, value):
+        code, report = run_to_file(tmp_path, ["berezinlieb", "--c", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["0.49", "nan"])
+    def test_berezinlieb_a0p(self, tmp_path, value):
+        code, report = run_to_file(tmp_path, ["berezinlieb", "--c", "2", "--a0p", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("command", ["wehrl", "berezinlieb"])
+    @pytest.mark.parametrize("value", ["0", "-0.1", "nan"])
+    def test_grid_step(self, tmp_path, command, value):
+        argv = [command, "--samples", "1", "--seed", "1"] if command == "wehrl" else [
+            command, "--c", "2"]
+        code, report = run_to_file(tmp_path, argv + ["--grid-step", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("command", ["wehrl", "berezinlieb"])
+    @pytest.mark.parametrize("value", ["0", "-6", "inf"])
+    def test_grid_radius(self, tmp_path, command, value):
+        argv = [command, "--samples", "1", "--seed", "1"] if command == "wehrl" else [
+            command, "--c", "2"]
+        code, report = run_to_file(tmp_path, argv + ["--grid-radius", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("probe", ["coherent:abc", "coherent:30", "coherent:nan",
+                                       "squeezed"])
+    def test_berezinlieb_probe(self, tmp_path, probe):
+        code, report = run_to_file(tmp_path, ["berezinlieb", "--c", "2", "--probe", probe,
+                                              "--grid-step", "0.2"])
         assert (code, report) == (1, None)
 
 

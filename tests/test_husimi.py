@@ -15,6 +15,57 @@ from gausslab.errors import (
 VN = mj.von_neumann_functional()
 
 
+def reference_husimi_values(state, a0: float, z_nodes: np.ndarray) -> np.ndarray:
+    """The thermal-reference density as a sum over displaced number states,
+    p(z) = sum_k q_k |<k| D(z)* psi>|^2 with geometric weights q_k of mean
+    N0 = a0 - 1/2 cut at 1e-18, raising D(z)|0> by D(z)|k+1> = (a^dag -
+    conj(z)) D(z)|k> / sqrt(k+1).  The raising recursion cancels large terms,
+    so it is accurate only while the input's support and |z| stay moderate."""
+    n0 = a0 - 0.5
+    if n0 == 0.0:
+        weights = np.ones(1)
+    else:
+        k_max = int(np.ceil(np.log(1e-18 * (n0 + 1.0)) / np.log(n0 / (n0 + 1.0))))
+        k = np.arange(k_max + 1, dtype=float)
+        weights = np.exp(k * np.log(n0 / (n0 + 1.0)) - np.log(n0 + 1.0))
+    z = np.asarray(z_nodes, dtype=np.complex128).ravel()
+    if isinstance(state, fock.PureState):
+        factors = state.amplitudes.conj()[None, :]  # rows psi^dag, as sqrt(w) v^dag below
+    else:
+        w, v = np.linalg.eigh(0.5 * (state.matrix + state.matrix.conj().T))
+        keep = w > 1e-15
+        factors = np.sqrt(w[keep])[:, None] * v[:, keep].T.conj()
+    dim = state.space.cutoff
+    roots = np.sqrt(np.arange(1, dim))
+    phi = hu._coherent_columns(z, dim)
+    out = np.zeros(z.size)
+    for k, qk in enumerate(weights):
+        if k > 0:
+            raised = np.empty_like(phi)
+            raised[:, 0] = -np.conj(z) * phi[:, 0]
+            raised[:, 1:] = roots[None, :] * phi[:, :-1] - np.conj(z)[:, None] * phi[:, 1:]
+            phi = raised / np.sqrt(float(k))
+        out += qk * (np.abs(phi.conj() @ factors.T.conj()) ** 2).sum(axis=1)
+    return out.reshape(np.shape(z_nodes))
+
+
+def gaussian_smeared_q(rho: fock.FockOperator, a0: float, z_nodes, order: int = 100):
+    """The thermal-reference density as the vacuum density <w|rho|w> averaged
+    over w = z + u with u Gaussian of variance N0 = a0 - 1/2 (the P-function
+    of the thermal reference), by Gauss-Hermite quadrature of ``order``^2
+    points; each term is a closed-form coherent column, so it stays accurate
+    for any support and |z|."""
+    x, w = np.polynomial.hermite.hermgauss(order)
+    u = (np.sqrt(a0 - 0.5) * (x[:, None] + 1j * x[None, :])).ravel()
+    weight = (w[:, None] * w[None, :]).ravel() / np.pi
+    out = []
+    for z in np.ravel(z_nodes):
+        phi = hu._coherent_columns(z + u, rho.space.cutoff)
+        q = np.real(np.einsum("im,mn,in->i", phi.conj(), rho.matrix, phi))
+        out.append(weight @ q)
+    return np.array(out)
+
+
 @pytest.fixture(scope="module")
 def grid():
     return hu.make_grid(6.0, 0.05)
@@ -73,6 +124,42 @@ class TestHusimiDensity:
         small = hu.make_grid(4.0, 0.05)
         with pytest.raises(TailMassTooLarge):
             hu.husimi_density(fock.number_state(space, 14), 0.5, small)
+
+
+class TestThermalReferenceDuality:
+    """husimi_values evaluates a thermal reference as kappa^-2 times the
+    vacuum density of the attenuated input at z / kappa."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return hu.make_grid(6.0, 0.2)
+
+    @pytest.mark.parametrize("a0", [0.75, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["number", "haar", "coherent", "measure-reprepare"])
+    def test_matches_displaced_number_state_sum(self, coarse, space, a0, scale, kind):
+        state = {
+            "number": lambda: fock.number_state(space, 3),
+            "haar": lambda: fock.random_pure_state(5, space, support=8),
+            "coherent": lambda: fock.coherent_state(0.7, space),
+            # mixed, occupying about one photon: the recursion stays accurate
+            "measure-reprepare": lambda: fock.realize_channel(
+                hu.measure_reprepare_channel(0.7), space).apply_pure(
+                    fock.number_state(space, 1)),
+        }[kind]()
+        nodes = scale * coarse.nodes
+        got = hu.husimi_values(state, a0, nodes)
+        assert np.abs(got - reference_husimi_values(state, a0, nodes)).max() <= 1e-12
+
+    def test_broad_mixed_input_at_large_reference(self, coarse, space):
+        # the measure-reprepare output of coherent(0.7) at c = 2 spreads over
+        # about six photons; at a0 = 2 the displaced-number-state sum is off
+        # by 4e-2 at the rescaled nodes, the duality is not
+        sigma = fock.realize_channel(hu.measure_reprepare_channel(2.0), space).apply_pure(
+            fock.coherent_state(0.7, space))
+        nodes = (2.0 * coarse.nodes)[coarse.mask][::97]
+        got = hu.husimi_values(sigma, 2.0, nodes)
+        assert np.abs(got - gaussian_smeared_q(sigma, 2.0, nodes)).max() <= 1e-12
 
 
 class TestClassicalFunctional:
@@ -140,8 +227,9 @@ class TestUpperSymbol:
     def test_unit_scaling_closed_form(self, grid, space):
         # Phi_1[vacuum] is thermal with alpha = 3/2; its vacuum-reference
         # density is (1/2) exp(-|z|^2/2)
-        field = hu.upper_symbol(fock.vacuum_state(space), 1.0, 0.5, 0.5, grid,
-                                cutoff=64)
+        fields = hu.berezin_lieb_fields(fock.vacuum_state(space), 1.0, 0.5, 0.5, grid,
+                                        cutoff=64)
+        field = hu.husimi_density(fields.sigma, 0.5, grid)
         expected = 0.5 * np.exp(-np.abs(grid.nodes) ** 2 / 2.0)
         assert np.abs(field.values - expected).max() < 1e-6
 
@@ -151,14 +239,16 @@ class TestUpperSymbol:
         (lambda sp: fock.coherent_state(0.7, sp), 1.5),
     ])
     def test_convolution_identity(self, grid, space, probe_builder, c):
-        rep = hu.convolution_check(probe_builder(space), c, 0.5, 0.5, grid)
+        rep = hu.convolution_check(hu.berezin_lieb_fields(probe_builder(space), c, 0.5, 0.5,
+                                                          grid))
         assert rep.sup_deviation <= 2e-3
 
 
 class TestBerezinLieb:
     def test_vacuum_sandwich_von_neumann(self, grid, space):
         c = 2.0
-        rep = hu.berezin_lieb_check(fock.vacuum_state(space), c, 0.5, 0.5, VN, grid)
+        rep = hu.berezin_lieb_check(
+            hu.berezin_lieb_fields(fock.vacuum_state(space), c, 0.5, 0.5, grid), VN)
         assert rep.sandwiched(1e-3)
         # middle equals the closed form for the thermal output N = c^2
         n = c ** 2
@@ -166,20 +256,23 @@ class TestBerezinLieb:
         assert rep.middle == pytest.approx(expected, abs=1e-6)
 
     def test_fock_one_sandwich_renyi(self, grid, space):
-        rep = hu.berezin_lieb_check(fock.number_state(space, 1), 2.0, 0.5, 0.5,
-                                    mj.renyi_functional(2.0), grid)
+        rep = hu.berezin_lieb_check(
+            hu.berezin_lieb_fields(fock.number_state(space, 1), 2.0, 0.5, 0.5, grid),
+            mj.renyi_functional(2.0))
         assert rep.sandwiched(1e-3)
 
     def test_linear_functional_collapses(self, grid, space):
         f = mj.polygonal_functional(((0.0, 0.0), (1.0, 1.0)))
-        rep = hu.berezin_lieb_check(fock.vacuum_state(space), 2.0, 0.5, 0.5, f, grid)
+        rep = hu.berezin_lieb_check(
+            hu.berezin_lieb_fields(fock.vacuum_state(space), 2.0, 0.5, 0.5, grid), f)
         for value in (rep.lower, rep.middle, rep.upper):
             assert value == pytest.approx(1.0, abs=1e-3)
 
     def test_quadrature_guard_when_grid_misses_mass(self, space):
         small = hu.make_grid(4.0, 0.05)
         with pytest.raises(QuadratureError):
-            hu.berezin_lieb_check(fock.number_state(space, 20), 2.0, 0.5, 0.5, VN, small)
+            hu.berezin_lieb_check(
+                hu.berezin_lieb_fields(fock.number_state(space, 20), 2.0, 0.5, 0.5, small), VN)
 
 
 class TestSmoothingLimit:
@@ -188,7 +281,8 @@ class TestSmoothingLimit:
         probes = [fock.vacuum_state(space), fock.number_state(space, 1),
                   fock.coherent_state(0.7, space)]
         for probe in probes:
-            devs = [hu.smoothing_deviation(probe, c, 0.5, 0.5, grid, poly)
+            devs = [hu.smoothing_deviation(hu.berezin_lieb_fields(probe, c, 0.5, 0.5, grid),
+                                           poly)
                     for c in (1.5, 2.0, 3.0)]
             assert devs[0] > devs[1] > devs[2]
 
@@ -224,3 +318,5 @@ class TestFieldDump:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,p"
         assert len(lines) == 1 + int(grid.mask.sum())
+        x, y, p = (float(v) for v in lines[1].split(","))  # plain numbers
+        assert (x, y) == (-4.0, 0.0) and p == pytest.approx(np.exp(-16.0))
