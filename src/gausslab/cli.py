@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from .errors import (
     UsageError,
     ValidityError,
 )
-from .majorization import rows_to_csv, to_jsonable
+from .majorization import rows_to_csv
 from .states import (
     minimal_output_entropy,
     minimal_output_renyi,
@@ -77,11 +76,8 @@ def _threads_default() -> int:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(to_jsonable(report), indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    text = mj.report_to_json(report, out_path or None)
+    if not out_path:
         sys.stdout.write(text)
 
 
@@ -316,7 +312,11 @@ def _cmd_berezinlieb(args) -> tuple[dict, bool, RunConfig]:
     conv = hu.convolution_check(fields)
     passed = rep.sandwiched(1e-3) and conv.sup_deviation <= 2e-3
     if args.field_csv:
-        hu.field_to_csv(hu.husimi_density(fields.sigma, args.a0p, grid), args.field_csv)
+        # the upper symbol the sandwich integrated, at its nodes c z
+        scaled = grid.scaled(args.c)
+        hu.field_to_csv(hu.HusimiField(scaled, fields.p_bar_scaled,
+                                       hu.estimate_tail_mass(fields.sigma, args.a0p, scaled)),
+                        args.field_csv)
     results = {"lower": rep.lower, "middle": rep.middle, "upper": rep.upper,
                "min_slack": rep.min_slack, "convolution_deviation": conv.sup_deviation}
     return _report(config, results, {"sandwich_slack": 1e-3, "convolution": 2e-3},

@@ -6,12 +6,15 @@ attenuator/amplifier channels realized through unitary dilations
 (beamsplitter and two-mode squeezer with vacuum ancilla), gauge rotations,
 transposition, complementary outputs, and exact output spectra.
 
-Dilations exploit that both generators conserve a number quantity
-(total photons for the beamsplitter, photon difference for the squeezer):
-the dilation unitary is block tridiagonal and each block exponential is
-computed exactly from its spectral decomposition.  Squeezer blocks are
-built with ancilla range ``2 * cutoff`` and the Kraus operators cropped to
-``cutoff``, which pushes edge-reflection artifacts below ~tanh(r)^(2d).
+Both quantum-limited channels have closed-form Kraus operators with the
+ancilla vacuum in and ``|l>`` out (Mari-Giovannetti-Holevo, Nat. Commun. 5,
+3826 (2014)): the attenuator of transmission k has
+``A_l[n-l, n] = (-1)^l sqrt(C(n, l)) k^(n-l) (1 - k^2)^(l/2)`` (the sign of
+the beamsplitter dilation), the amplifier of gain kappa has
+``A_l[n+l, n] = sqrt(C(n+l, l)) kappa^-(n+1) (1 - kappa^-2)^(l/2)``.  Both
+are evaluated in log space, and the amplifier bands are exact up to the
+cutoff, where they are cropped.  The complementary output and the dilation
+marginals read the same amplitudes past the cutoff.
 
 Gauge covariance organizes the channel layer.  Each Kraus operator of a
 quantum-limited stage is one band, ``A_l |n> = c_l[n] |n -/+ l>``, stored as
@@ -19,7 +22,7 @@ quantum-limited stage is one band, ``A_l |n> = c_l[n] |n -/+ l>``, stored as
 ``rho[n, n+k]`` into the same output diagonal, so a one-mode pipeline (gauge
 phase, attenuator, amplifier) composes into per-diagonal transfer matrices
 ``T[k]``, and every channel application multiplies the operator's diagonals
-by them, per mode.  Columns, bands and transfers sit in LRU caches.
+by them, per mode.  Bands and transfers sit in LRU caches.
 
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
 from ._linalg import hermiticity_defect
 from .channels import GaugeCovariantChannel
@@ -94,12 +97,12 @@ class OneModeChannelKraus:
     parameter: float
     space: FockSpace
     shifts: np.ndarray  # (L,) int
-    coeffs: np.ndarray  # (L, cutoff) complex
+    coeffs: np.ndarray  # (L, cutoff) real
 
     def band_sum(self) -> np.ndarray:
         """sum_l A_l as a dense matrix; the bands do not overlap."""
         label, n = np.nonzero(self.coeffs)  # bands vanish where they leave the cutoff
-        total = np.zeros((self.space.cutoff,) * 2, dtype=np.complex128)
+        total = np.zeros((self.space.cutoff,) * 2, dtype=self.coeffs.dtype)
         total[n + self.shifts[label], n] = self.coeffs[label, n]
         return total
 
@@ -293,61 +296,42 @@ def transpose_state(rho: FockOperator) -> FockOperator:
     return FockOperator(space=rho.space, matrix=rho.matrix.T.copy())
 
 
-# ---------------------------------------------------------------------------
-# Dilation blocks.  Both generators are real skew-symmetric tridiagonal in a
-# conserved-sector basis; exp is taken through eigh of the phase-rotated
-# (real symmetric) tridiagonal matrix.
-# ---------------------------------------------------------------------------
-
-def _skew_expm(sub: np.ndarray, column_only: bool) -> np.ndarray:
-    """exp(B) for real B with B[j+1, j] = sub[j], B[j, j+1] = -sub[j]."""
-    J = len(sub) + 1
-    if J == 1:
-        one = np.ones(1, dtype=np.complex128)
-        return one if column_only else np.eye(1, dtype=np.complex128)
-    lam, w = sla.eigh_tridiagonal(np.zeros(J), -np.asarray(sub, dtype=float))
-    phases = (1j) ** np.arange(J)
-    if column_only:
-        return np.conj(phases) * (w @ (np.exp(-1j * lam) * w[0, :]))
-    full = (w * np.exp(-1j * lam)) @ w.T
-    return np.conj(phases)[:, None] * full * phases[None, :]
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Cached arrays are shared by every caller: freeze them."""
     a.flags.writeable = False
     return a
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _dilation_columns(kind: str, parameter: float, d: int) -> tuple[np.ndarray, ...]:
-    """cols[n][l] = <n -/+ l, l| U |n, 0> of the attenuator / amplifier dilation.
+def _kraus_table(kind: str, parameter: float, labels: int, d: int) -> np.ndarray:
+    """amp[l, n] = <n -/+ l, l| U |n, 0> for l < labels, n < d, in closed form.
 
-    Beamsplitter, cos(theta) = parameter: total photon number is conserved,
-    so every sector with n < d is complete and the amplitudes are exact.
-    Two-mode squeezer, cosh(r) = parameter: photon difference is conserved;
-    blocks are built with ancilla range up to 2d - 1 - n and later cropped,
-    suppressing edge reflection.
+    Attenuator, k = parameter:  (-1)^l sqrt(C(n, l)) k^(n-l) (1 - k^2)^(l/2),
+    zero for l > n.  Amplifier, kappa = parameter:
+    sqrt(C(n+l, l)) kappa^-(n+1) (1 - kappa^-2)^(l/2), not cropped: the output
+    level n + l may pass any cutoff.  Magnitudes are exp of log sums, with
+    0 log 0 = 0, so k in {0, 1} and kappa = 1 give exact zeros and ones.
     """
+    l = np.arange(labels, dtype=float)[:, None]
+    n = np.arange(d, dtype=float)[None, :]
     if kind == "attenuator":
-        theta = float(np.arccos(np.clip(parameter, 0.0, 1.0)))
-        subs = ([-theta * np.sqrt((j + 1.0) * (n - j)) for j in range(n)] for n in range(d))
-    else:
-        r = float(np.arccosh(max(parameter, 1.0)))
-        subs = ([r * np.sqrt((n + j + 1.0) * (j + 1.0)) for j in range(2 * d - 1 - n)]
-                for n in range(d))
-    return tuple(_readonly(_skew_expm(np.array(sub), column_only=True)) for sub in subs)
+        m = np.maximum(n - l, 0.0)  # output level; l > n is masked below
+        log_amp = (0.5 * (gammaln(n + 1.0) - gammaln(l + 1.0) - gammaln(m + 1.0))
+                   + xlogy(m, parameter) + 0.5 * xlogy(l, (1.0 - parameter) * (1.0 + parameter)))
+        return np.where(l <= n, (-1.0) ** l * np.exp(log_amp), 0.0)
+    log_kappa = np.log(parameter)
+    log_amp = (0.5 * (gammaln(n + l + 1.0) - gammaln(l + 1.0) - gammaln(n + 1.0))
+               - (n + 1.0) * log_kappa + 0.5 * xlogy(l, -np.expm1(-2.0 * log_kappa)))
+    return np.exp(log_amp)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _banded_kraus(kind: str, parameter: float, d: int) -> OneModeChannelKraus:
-    """Bands A_l[n -/+ l, n] = cols[n][l], cropped to the cutoff; labels whose
+    """Bands A_l[n -/+ l, n] = amp[l, n], cropped to the cutoff; labels whose
     band is identically zero are dropped."""
     sign = -1 if kind == "attenuator" else 1
-    coeffs = np.zeros((d, d), dtype=np.complex128)  # [l, n]
-    for n, col in enumerate(_dilation_columns(kind, parameter, d)):
-        labels = n + 1 if sign < 0 else d - n  # l with n + sign * l inside the cutoff
-        coeffs[:labels, n] = col[:labels]
+    coeffs = _kraus_table(kind, parameter, d, d)  # [l, n]
+    if sign > 0:
+        coeffs[np.add.outer(np.arange(d), np.arange(d)) >= d] = 0.0
     keep = np.any(coeffs != 0, axis=1)
     return OneModeChannelKraus(kind, parameter, FockSpace(1, d),
                                _readonly(sign * np.arange(d)[keep]), _readonly(coeffs[keep]))
@@ -357,7 +341,8 @@ def attenuator_kraus(k: float, space: FockSpace) -> OneModeChannelKraus:
     """Kraus operators of the quantum-limited attenuator, k in [0, 1].
 
     A_l = <l| U |0> on the ancilla, with U the beamsplitter dilation
-    exp(theta (a^dag b - a b^dag)), cos(theta) = k, ancilla in vacuum.
+    exp(theta (a^dag b - a b^dag)), cos(theta) = k, ancilla in vacuum, in
+    closed form (see :func:`_kraus_table`).
     """
     if space.modes != 1:
         raise DimensionMismatch("attenuator_kraus builds one-mode channels")
@@ -370,9 +355,9 @@ def amplifier_kraus(kappa: float, space: FockSpace) -> OneModeChannelKraus:
     """Kraus operators of the quantum-limited amplifier, kappa >= 1.
 
     A_l = <l| U |0> on the ancilla, with U the two-mode squeezer dilation
-    exp(r (a^dag b^dag - a b)), cosh(r) = kappa, ancilla in vacuum.
-    Guard: kappa^2 - 1 <= cutoff/8 keeps the vacuum-output thermal tail
-    inside the cutoff.
+    exp(r (a^dag b^dag - a b)), cosh(r) = kappa, ancilla in vacuum, in
+    closed form and cropped to the cutoff.  Guard: kappa^2 - 1 <= cutoff/8
+    keeps the vacuum-output thermal tail inside the cutoff.
     """
     if space.modes != 1:
         raise DimensionMismatch("amplifier_kraus builds one-mode channels")
@@ -430,14 +415,13 @@ def complementary_output(kappa: float, rho: FockOperator) -> FockOperator:
     if kappa < 1.0:
         raise ParameterOutOfRange(f"gain must satisfy kappa >= 1, got {kappa}")
     d = space.cutoff
-    cols = _dilation_columns("amplifier", float(kappa), d)
+    amp = _kraus_table("amplifier", float(kappa), d, d)
     out = np.zeros((d, d), dtype=np.complex128)
-    for m in range(2 * d - 1):
+    for m in range(2 * d - 1):  # system output level n + l
         ns = np.arange(max(0, m - d + 1), min(m, d - 1) + 1)
-        w = np.array([cols[n][m - n] for n in ns])
         ls = m - ns
-        block = (w[:, None] * rho.matrix[np.ix_(ns, ns)]) * w.conj()[None, :]
-        out[np.ix_(ls, ls)] += block
+        w = amp[ls, ns]
+        out[np.ix_(ls, ls)] += np.outer(w, w) * rho.matrix[np.ix_(ns, ns)]
     return FockOperator(space=space, matrix=out)
 
 
@@ -450,17 +434,30 @@ def amplifier_dilation_marginals(kappa: float, psi: PureState) -> tuple[FockOper
     space = psi.space
     if space.modes != 1:
         raise DimensionMismatch("amplifier_dilation_marginals is one-mode")
+    if kappa < 1.0:
+        raise ParameterOutOfRange(f"gain must satisfy kappa >= 1, got {kappa}")
     d = space.cutoff
     big = FockSpace(1, 2 * d)
-    cols = _dilation_columns("amplifier", float(kappa), d)
+    amp = _kraus_table("amplifier", float(kappa), 2 * d, d)
+    ls, ns = np.nonzero(np.add.outer(np.arange(2 * d), np.arange(d)) < 2 * d)
     omega = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-    for n in range(d):
-        ls = np.arange(len(cols[n]))
-        omega[n + ls, ls] = psi.amplitudes[n] * cols[n]
+    omega[ns + ls, ls] = psi.amplitudes[ns] * amp[ls, ns]
     sys_out = omega @ omega.conj().T
     anc_out = omega.T @ omega.conj()
     return (FockOperator(space=big, matrix=sys_out),
             FockOperator(space=big, matrix=anc_out))
+
+
+def _skew_expm(sub: np.ndarray) -> np.ndarray:
+    """exp(B) for real B with B[j+1, j] = sub[j], B[j, j+1] = -sub[j], through
+    eigh of the phase-rotated (real symmetric) tridiagonal matrix."""
+    J = len(sub) + 1
+    if J == 1:
+        return np.eye(1, dtype=np.complex128)
+    lam, w = sla.eigh_tridiagonal(np.zeros(J), -np.asarray(sub, dtype=float))
+    phases = (1j) ** np.arange(J)
+    full = (w * np.exp(-1j * lam)) @ w.T
+    return np.conj(phases)[:, None] * full * phases[None, :]
 
 
 def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
@@ -475,7 +472,7 @@ def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
         jmax = min(total, d - 1)
         js = np.arange(jmin, jmax + 1)
         sub = np.array([-theta * np.sqrt((j + 1.0) * (total - j)) for j in js[:-1]])
-        block = _skew_expm(sub, column_only=False)
+        block = _skew_expm(sub)
         idx = (total - js) * d + js
         U[np.ix_(idx, idx)] = block
     return FockOperator(space=space, matrix=U)

@@ -71,6 +71,11 @@ class PhaseSpaceGrid:
     def integrate(self, values: np.ndarray) -> float:
         return float(values[self.mask].sum() * self.weight)
 
+    def scaled(self, c: float) -> PhaseSpaceGrid:
+        """The same lattice with every node z moved to c z."""
+        return PhaseSpaceGrid(radius=c * self.radius, step=c * self.step,
+                              axis=c * self.axis, mask=self.mask)
+
 
 def make_grid(radius: float = 6.0, step: float = 0.05) -> PhaseSpaceGrid:
     if step <= 0:

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import xlog1py
 
 from ._linalg import HERMITICITY_TOL, as_complex_matrix, require_hermitian
 from .channels import GaugeCovariantChannel, build_channel
@@ -99,8 +99,23 @@ def eigenvalue_list(spec: ThermalSpectrum, m: int) -> np.ndarray:
 
 
 def _g(n: np.ndarray) -> np.ndarray:
-    # (N+1) ln(N+1) - N ln N, with 0 ln 0 = 0
-    return xlogy(n + 1.0, n + 1.0) - xlogy(n, n)
+    """(N+1) ln(N+1) - N ln N = ln(1+N) + N ln(1 + 1/N), 0 at N = 0; the
+    second form does not cancel at large N."""
+    n = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log1p(n) + xlog1py(n, 1.0 / n)
+
+
+def _log_power_gap(n: np.ndarray, p: float) -> np.ndarray:
+    """ln[(N+1)^p - N^p] = p ln(1+N) + ln(1 - (N/(N+1))^p), 0 at N = 0.
+
+    Evaluated as (p-1) ln(1+N) + ln(1 - N expm1(-(p-1) ln(1 + 1/N))), the same
+    value, which neither overflows at large p N nor loses the relative
+    precision that the Renyi forms need when they divide it by p - 1."""
+    n = np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore"):
+        tail = -n * np.expm1(-(p - 1.0) * np.log1p(1.0 / n))
+    return (p - 1.0) * np.log1p(n) + np.log1p(tail)
 
 
 def von_neumann_entropy(st: GaugeInvariantGaussianState) -> float:
@@ -115,7 +130,7 @@ def renyi_entropy(st: GaugeInvariantGaussianState, p: float) -> float:
     if not p > 1.0:
         raise InvalidOrder(f"Renyi order must satisfy p > 1, got {p}")
     n = np.asarray(thermal_spectrum(st).photon_numbers)
-    return float(np.log((n + 1.0) ** p - n ** p).sum() / (p - 1.0))
+    return float(_log_power_gap(n, p).sum() / (p - 1.0))
 
 
 def _output_photon_numbers(ch: GaugeCovariantChannel) -> np.ndarray:
@@ -133,24 +148,21 @@ def output_purity(ch: GaugeCovariantChannel, p: float) -> float:
     """
     if not p > 1.0:
         raise InvalidOrder(f"Renyi order must satisfy p > 1, got {p}")
-    n = _output_photon_numbers(ch)
-    return float(np.prod(1.0 / ((n + 1.0) ** p - n ** p)))
+    return float(np.exp(-_log_power_gap(_output_photon_numbers(ch), p).sum()))
 
 
 def purity_determinant(ch: GaugeCovariantChannel, p: float) -> float:
     """det[(alpha + I/2)^p - (alpha - I/2)^p] with alpha = mu + K K*/2."""
     if not p > 1.0:
         raise InvalidOrder(f"Renyi order must satisfy p > 1, got {p}")
-    n = _output_photon_numbers(ch)
-    return float(np.prod((n + 1.0) ** p - n ** p))
+    return float(np.exp(_log_power_gap(_output_photon_numbers(ch), p).sum()))
 
 
 def minimal_output_renyi(ch: GaugeCovariantChannel, p: float) -> float:
     """(1/(1-p)) ln nu_p, the minimal output Renyi entropy in nats."""
     if not p > 1.0:
         raise InvalidOrder(f"Renyi order must satisfy p > 1, got {p}")
-    n = _output_photon_numbers(ch)
-    return float(np.log((n + 1.0) ** p - n ** p).sum() / (p - 1.0))
+    return float(_log_power_gap(_output_photon_numbers(ch), p).sum() / (p - 1.0))
 
 
 def minimal_output_entropy(ch: GaugeCovariantChannel) -> float:

@@ -151,6 +151,18 @@ class TestSweepCommands:
         assert res["middle"] <= res["upper"] + 1e-3
         assert res["convolution_deviation"] <= 2e-3
 
+    def test_berezinlieb_field_csv_on_default_grid(self, tmp_path):
+        # the CSV is the upper symbol the sandwich integrated, at its nodes
+        # c z; for the vacuum probe sigma is thermal with N = c^2, whose
+        # vacuum-reference density is exp(-|w|^2 / (N + 1)) / (N + 1)
+        c, csv_path = 1.5, tmp_path / "field.csv"
+        code, report = run_to_file(tmp_path, ["berezinlieb", "--c", str(c), "--probe", "vacuum",
+                                              "--grid-step", "0.1", "--field-csv", str(csv_path)])
+        assert code == 0 and report["pass"] is True
+        x, y, p = np.loadtxt(csv_path, delimiter=",", skiprows=1).T
+        assert np.abs(x).max() == pytest.approx(6.0 * c)
+        assert np.abs(p - np.exp(-(x ** 2 + y ** 2) / (c ** 2 + 1)) / (c ** 2 + 1)).max() < 1e-12
+
     def test_seed_is_mandatory(self, files):
         assert cli.run(["majorize", files["att07"], "--samples", "4"]) == 1
 

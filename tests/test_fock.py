@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gausslab import fock
 from gausslab.husimi import measure_reprepare_channel
@@ -100,6 +101,12 @@ class TestAttenuatorKraus:
         with pytest.raises(ParameterOutOfRange):
             fock.attenuator_kraus(1.2, space40)
 
+    def test_zero_transmission_maps_to_vacuum(self, space40):
+        kraus = fock.attenuator_kraus(0.0, space40)
+        out = fock.apply_kraus(kraus, fock.density(fock.number_state(space40, 7)))
+        assert out.matrix[0, 0] == 1.0
+        assert np.abs(out.matrix).sum() == 1.0
+
 
 class TestAmplifierKraus:
     def test_unit_gain_is_identity(self, space40):
@@ -132,6 +139,32 @@ class TestAmplifierKraus:
     def test_tail_guard(self):
         with pytest.raises(ParameterOutOfRange):
             fock.amplifier_kraus(3.0, fock.FockSpace(1, 40))
+
+    @pytest.mark.parametrize("kappa,d,step", [(1.5, 40, 1), (np.sqrt(10.0), 128, 8)],
+                             ids=["kappa1.5-d40", "kappa^2=10-d128"])
+    def test_bands_match_wide_squeezer_block(self, kappa, d, step):
+        # every band entry A_l[n + l, n] below the cutoff, against a squeezer
+        # block 8d wide, whose edge reflection no longer reaches the bands; at
+        # d = 128 every eighth input level (one block costs about 0.1 s)
+        kraus = fock.amplifier_kraus(kappa, fock.FockSpace(1, d))
+        table = np.zeros((d, d))
+        table[kraus.shifts] = kraus.coeffs
+        for n in range(0, d, step):
+            ref = squeezer_column(kappa, n, 8 * d)
+            assert np.abs(table[: d - n, n] - ref[: d - n]).max() < 1e-12
+
+
+def squeezer_column(kappa: float, n: int, width: int) -> np.ndarray:
+    """<n + l, l| exp(r (a^dag b^dag - a b)) |n, 0> for l < width, cosh(r) =
+    kappa: the photon-difference-n block of the two-mode squeezer, cut at
+    ancilla level width - 1 and exponentiated through eigh of its
+    phase-rotated (real symmetric) tridiagonal form."""
+    r = float(np.arccosh(kappa))
+    j = np.arange(width - 1)
+    lam, w = sla.eigh_tridiagonal(np.zeros(width), -r * np.sqrt((n + j + 1.0) * (j + 1.0)))
+    col = np.conj(1j ** np.arange(width)) * (w @ (np.exp(-1j * lam) * w[0]))
+    assert np.abs(col.imag).max() < 1e-12
+    return col.real
 
 
 class TestApplyKraus:
@@ -215,7 +248,7 @@ class TestTransferKernel:
         space = fock.FockSpace(1, 8)
         for i in range(fock.CACHE_SIZE + 3):
             fock.realize_channel(attenuator_channel(0.05 * (i + 1)), space)
-        for cache in (fock._dilation_columns, fock._banded_kraus, fock._mode_transfer):
+        for cache in (fock._banded_kraus, fock._mode_transfer):
             info = cache.cache_info()
             assert info.maxsize == fock.CACHE_SIZE
             assert info.currsize <= info.maxsize
@@ -283,6 +316,14 @@ class TestComplementary:
         stage2 = fock.apply_kraus(fock.amplifier_kraus(kappa, space40), stage1)
         rhs = fock.transpose_state(stage2)
         assert np.abs(lhs.matrix - rhs.matrix).max() < 1e-6
+
+    @pytest.mark.parametrize("dilation", [
+        lambda psi: fock.complementary_output(0.9, fock.density(psi)),
+        lambda psi: fock.amplifier_dilation_marginals(0.9, psi),
+    ], ids=["complementary", "marginals"])
+    def test_rejects_gain_below_one(self, space40, dilation):
+        with pytest.raises(ParameterOutOfRange):
+            dilation(fock.vacuum_state(space40))
 
     def test_marginal_spectra_coincide(self, space40):
         psi = fock.random_pure_state(29, space40, support=5)
@@ -389,7 +430,8 @@ class TestBeamsplitter:
         u = fock.beamsplitter_unitary(theta, fock.FockSpace(2, d)).matrix
         kraus = fock.attenuator_kraus(0.6, fock.FockSpace(1, d))
         # A_l[m, n] = <m, l| U |n, 0>
-        for l, a in enumerate(kraus.ops[:6]):
+        assert len(kraus.ops) == d
+        for l, a in enumerate(kraus.ops):
             for n in range(d):
                 m = n - l
                 if m < 0:

@@ -8,6 +8,7 @@ from gausslab.channels import (
     amplifier_channel,
     attenuator_channel,
     build_channel,
+    classical_noise_channel,
     identity_channel,
     random_channel,
 )
@@ -17,6 +18,7 @@ from gausslab.states import (
     apply_channel,
     eigenvalue_list,
     gaussian_state,
+    minimal_output_entropy,
     minimal_output_renyi,
     output_purity,
     purity_determinant,
@@ -130,6 +132,43 @@ class TestEntropies:
             st2 = gaussian_state(np.diag(n + 0.5))
             bound = 10 * eps * (1 + np.sum(n ** 2))
             assert abs(renyi_entropy(st2, 1 + eps) - von_neumann_entropy(st2)) <= bound
+
+
+class TestLogSpaceClosedForms:
+    """Where the power forms overflow ((N+1)^p at large p N) or cancel
+    ((N+1) ln(N+1) - N ln N at large N, and Renyi orders near 1), against
+    mpmath at 50 digits."""
+
+    def test_renyi_at_large_gain_and_order(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            n = mp.mpf(40.0 ** 2 - 1)
+            expected = mp.log((n + 1) ** 400 - n ** 400) / 399
+        value = minimal_output_renyi(amplifier_channel(40.0), 400)
+        assert value == pytest.approx(float(expected), rel=1e-14)
+
+    def test_large_photon_number(self):
+        mp = pytest.importorskip("mpmath")
+        ch = classical_noise_channel(1e8)
+        p = 1.0 + 1e-7
+        with mp.workdps(50):
+            n, q = mp.mpf(1e8), mp.mpf(p)
+            von_neumann = (n + 1) * mp.log(n + 1) - n * mp.log(n)
+            renyi = mp.log((n + 1) ** q - n ** q) / (q - 1)
+        assert minimal_output_entropy(ch) == pytest.approx(float(von_neumann), rel=1e-14)
+        assert minimal_output_renyi(ch, p) == pytest.approx(float(renyi), rel=1e-13)
+        assert minimal_output_renyi(ch, p) < minimal_output_entropy(ch)
+
+    @given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3),
+           st.floats(1.0 + 1e-9, 50.0), st.floats(1.0 + 1e-9, 50.0))
+    @settings(max_examples=200, deadline=None)
+    def test_renyi_nonincreasing_in_order_and_below_von_neumann(self, log10_photons, p, q):
+        state = gaussian_state(np.diag([10.0 ** x + 0.5 for x in log10_photons]))
+        low, high = sorted((p, q))
+        s_low, s_high = renyi_entropy(state, low), renyi_entropy(state, high)
+        vn = von_neumann_entropy(state)
+        assert s_high <= s_low + 1e-12 * max(1.0, s_low)
+        assert s_low <= vn + 1e-12 * max(1.0, vn)
 
 
 class TestOutputPurity:
