@@ -183,10 +183,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     return a
 
 
-def number_operator(space: FockSpace) -> FockOperator:
-    return FockOperator(space=space, matrix=np.diag(_total_occupation(space)).astype(np.complex128))
-
-
 def _total_occupation(space: FockSpace) -> np.ndarray:
     n = np.arange(space.cutoff)
     if space.modes == 1:

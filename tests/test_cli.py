@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +223,38 @@ class TestSweepCommands:
         assert code == 0
         assert (len(applies), len(output_evals)) == (1, 1)
 
+    def test_wehrl_evaluates_all_inputs_in_one_call(self, monkeypatch, tmp_path):
+        # the vacuum, two Fock probes and three samples form one group: one
+        # evaluation, and one column build per chunk of the default grid
+        values_calls, column_calls = [], []
+        values, columns = hu.husimi_values, hu._coherent_columns
+
+        def counted_values(state, ref, z_nodes):
+            values_calls.append(1)
+            return values(state, ref, z_nodes)
+
+        def counted_columns(z_flat, dim):
+            column_calls.append(1)
+            return columns(z_flat, dim)
+
+        monkeypatch.setattr(hu, "husimi_values", counted_values)
+        monkeypatch.setattr(hu, "_coherent_columns", counted_columns)
+        code, _ = run_to_file(tmp_path, ["wehrl", "--a0", "0.5", "--samples", "3",
+                                         "--seed", "1"])
+        assert code == 0
+        chunks = -(-hu.make_grid(6.0, 0.05).nodes.size // hu.NODE_CHUNK)
+        assert (len(values_calls), len(column_calls)) == (1, chunks)
+
+    def test_wehrl_results_do_not_depend_on_threads(self, tmp_path):
+        # 3 + 9 inputs are two groups, evaluated concurrently on two threads
+        reports = [run_to_file(tmp_path, ["wehrl", "--a0", "0.5", "--samples", "9",
+                                          "--seed", "4", "--grid-step", "0.1",
+                                          "--threads", threads])
+                   for threads in ("1", "2")]
+        assert [code for code, _ in reports] == [0, 0]
+        assert reports[0][1]["results"] == reports[1][1]["results"]
+        assert reports[0][1]["leakage"] == reports[1][1]["leakage"]
+
     def test_threads_env_fallback(self, monkeypatch, tmp_path, files):
         monkeypatch.setenv("GAUSSLAB_THREADS", "3")
         code, report = run_to_file(tmp_path, ["majorize", files["att07"],
@@ -320,6 +356,20 @@ class TestArgumentBounds:
         code, report = run_to_file(tmp_path, ["berezinlieb", "--c", "2", "--probe", probe,
                                               "--grid-step", "0.2"])
         assert (code, report) == (1, None)
+
+
+class TestImport:
+    def test_cli_does_not_import_scipy_signal(self):
+        # smoothing needs scipy.fft only; scipy.signal, and the scipy.stats it
+        # imports, would add about a second to every process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        probe = ("import sys, gausslab.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestSelftest:

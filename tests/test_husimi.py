@@ -1,18 +1,33 @@
 import numpy as np
 import pytest
-from scipy.special import digamma
+from scipy.special import digamma, gammaln
 
 from gausslab import fock
 from gausslab import husimi as hu
 from gausslab import majorization as mj
 from gausslab.channels import classify, ChannelClass, decompose
 from gausslab.errors import (
+    InvalidState,
     ParameterOutOfRange,
     QuadratureError,
     TailMassTooLarge,
 )
 
 VN = mj.von_neumann_functional()
+
+
+def closed_form_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
+    """<m| D(z) |0> = e^{-|z|^2/2} z^m / sqrt(m!) as one complex exp of its
+    logarithm per entry, independent of the library's column builder."""
+    m = np.arange(dim)
+    r = np.abs(z_flat)
+    theta = np.angle(z_flat)
+    logr = np.log(np.where(r > 0, r, 1.0))
+    logmag = -0.5 * r[:, None] ** 2 + m[None, :] * logr[:, None] - 0.5 * gammaln(m + 1.0)[None, :]
+    cols = np.exp(logmag) * np.exp(1j * m[None, :] * theta[:, None])
+    cols[r == 0, :] = 0.0
+    cols[r == 0, 0] = 1.0
+    return cols
 
 
 def reference_husimi_values(state, a0: float, z_nodes: np.ndarray) -> np.ndarray:
@@ -37,7 +52,7 @@ def reference_husimi_values(state, a0: float, z_nodes: np.ndarray) -> np.ndarray
         factors = np.sqrt(w[keep])[:, None] * v[:, keep].T.conj()
     dim = state.space.cutoff
     roots = np.sqrt(np.arange(1, dim))
-    phi = hu._coherent_columns(z, dim)
+    phi = closed_form_columns(z, dim)
     out = np.zeros(z.size)
     for k, qk in enumerate(weights):
         if k > 0:
@@ -60,7 +75,7 @@ def gaussian_smeared_q(rho: fock.FockOperator, a0: float, z_nodes, order: int = 
     weight = (w[:, None] * w[None, :]).ravel() / np.pi
     out = []
     for z in np.ravel(z_nodes):
-        phi = hu._coherent_columns(z + u, rho.space.cutoff)
+        phi = closed_form_columns(z + u, rho.space.cutoff)
         q = np.real(np.einsum("im,mn,in->i", phi.conj(), rho.matrix, phi))
         out.append(weight @ q)
     return np.array(out)
@@ -84,6 +99,59 @@ class TestGrid:
     def test_resolution_guard(self):
         with pytest.raises(QuadratureError):
             hu.make_grid(6.0, 0.01)
+
+
+class TestCoherentColumns:
+    """The library's builder (real exp of the log magnitude, phase by a
+    running product) against the closed form."""
+
+    @pytest.mark.parametrize("nodes,dim", [
+        (hu.make_grid(6.0, 0.1).nodes.ravel(), 32),
+        (3.0 * hu.make_grid(6.0, 0.1).nodes.ravel(), 128),
+        (np.zeros(1, dtype=np.complex128), 8),
+        (np.array([40.0, 30.0 + 30.0j]), 2048),
+    ], ids=["grid-d32", "3grid-d128", "origin", "far-d2048"])
+    def test_matches_closed_form(self, nodes, dim):
+        got = hu._coherent_columns(nodes, dim)
+        assert got.shape == (nodes.size, dim)
+        assert np.abs(got - closed_form_columns(nodes, dim)).max() <= 1e-12
+
+    def test_far_nodes_do_not_underflow(self):
+        # e^{-|z|^2/2} underflows at |z| = 40, so a recurrence started from
+        # it would give 0 where the entries reach 0.0999
+        got = hu._coherent_columns(np.array([40.0, 30.0 + 30.0j]), 2048)
+        assert np.abs(got).max(axis=1) == pytest.approx([0.0999, 0.0970], abs=1e-4)
+
+
+class TestBatchedEvaluation:
+    """A sequence of states gives one row per state, equal to evaluating each
+    state on its own."""
+
+    @pytest.fixture(scope="class")
+    def coarse(self):
+        return hu.make_grid(6.0, 0.2)
+
+    @pytest.fixture(scope="class")
+    def batch(self, space):
+        sigma = fock.realize_channel(hu.measure_reprepare_channel(0.7), space).apply_pure(
+            fock.number_state(space, 1))
+        return [fock.vacuum_state(space), fock.random_pure_state(5, space, support=8),
+                sigma, fock.number_state(space, 3), fock.thermal_state(0.4, space),
+                fock.coherent_state(0.7, space)]
+
+    @pytest.mark.parametrize("a0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_matches_per_state_calls(self, coarse, batch, a0, scale):
+        nodes = scale * coarse.nodes
+        got = hu.husimi_values(batch, a0, nodes)
+        assert got.shape == (len(batch),) + nodes.shape
+        for row, state in zip(got, batch):
+            assert np.abs(row - hu.husimi_values(state, a0, nodes)).max() <= 1e-12
+
+    def test_checks_each_state(self, coarse, space):
+        doubled = fock.PureState(space=space, amplitudes=2.0 * fock.vacuum_state(space).amplitudes)
+        with pytest.raises(InvalidState):
+            hu.husimi_values([fock.vacuum_state(space), doubled], 0.5, coarse.nodes)
 
 
 class TestHusimiDensity:
@@ -294,6 +362,26 @@ class TestWehrlOptimality:
         assert rep.gap >= -1e-3
         fock1 = next(r.value for r in rep.rows if r.label == "fock(1)")
         assert fock1 == pytest.approx(2.0 - digamma(2.0), abs=1e-3)
+
+    @pytest.mark.parametrize("a0,probe_dim", [(0.5, 16), (1.0, 8)])
+    def test_rows_match_per_state_densities(self, a0, probe_dim):
+        # 3 + 7 inputs span two groups of the sweep; each row is the input's
+        # own density reduced, with the samples drawn from the seeds (21, idx)
+        assert 3 + 7 > hu.WEHRL_GROUP
+        grid = hu.make_grid(6.0, 0.2)
+        rep = hu.wehrl_optimality_test(a0, n_samples=7, seed=21, grid=grid, f=VN,
+                                       probe_dim=probe_dim)
+        space = fock.FockSpace(1, 32)
+        inputs = [fock.number_state(space, 1), fock.number_state(space, 2)] + [
+            fock.random_pure_state([21, idx], space, support=probe_dim) for idx in range(7)]
+        vacuum = hu.classical_functional(hu.husimi_density(fock.vacuum_state(space), a0, grid), VN)
+        assert rep.vacuum_value == pytest.approx(vacuum, abs=1e-12)
+        assert [r.label for r in rep.rows] == ["fock(1)", "fock(2)"] + [
+            f"haar[21,{idx}]" for idx in range(7)]
+        for row, state in zip(rep.rows, inputs):
+            field = hu.husimi_density(state, a0, grid)
+            assert row.value == pytest.approx(hu.classical_functional(field, VN), abs=1e-12)
+            assert row.leakage == field.tail_mass
 
     def test_thermal_reference_sweep(self, grid):
         rep = hu.wehrl_optimality_test(1.0, n_samples=10, seed=21, grid=grid, f=VN,

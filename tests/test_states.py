@@ -108,6 +108,17 @@ class TestSpectra:
         assert np.allclose(lam, fock.spectrum(rho)[:10], atol=1e-10)
 
 
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e3)), min_size=1, max_size=3),
+           st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_eigenvalue_list_descending_with_sum_at_most_one(self, photons, m):
+        lam = eigenvalue_list(ThermalSpectrum(tuple(photons)), m)
+        assert lam.shape == (m,)
+        assert np.all(np.diff(lam) <= 0.0)
+        assert lam.min() >= 0.0
+        assert lam.sum() <= 1.0 + 1e-12
+
+
 class TestEntropies:
     def test_von_neumann_closed_form(self):
         st1 = gaussian_state(np.diag([1.5]))
@@ -169,6 +180,19 @@ class TestLogSpaceClosedForms:
         vn = von_neumann_entropy(state)
         assert s_high <= s_low + 1e-12 * max(1.0, s_low)
         assert s_low <= vn + 1e-12 * max(1.0, vn)
+
+
+    @given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3),
+           st.floats(1.0, 1.0 + 1e-3, exclude_min=True))
+    @settings(max_examples=200, deadline=None)
+    def test_renyi_limit_at_order_one(self, log10_photons, p):
+        # S_vN - S_p = (p - 1) Var(ln lambda) / 2 + O((p - 1)^2), and the
+        # variance of ln lambda over a geometric spectrum is at most 1 per mode
+        state = gaussian_state(np.diag([10.0 ** x + 0.5 for x in log10_photons]))
+        vn = von_neumann_entropy(state)
+        gap = vn - renyi_entropy(state, p)
+        slack = 1e-12 * max(1.0, vn)
+        assert -slack <= gap <= (p - 1.0) * len(log10_photons) + slack
 
 
 class TestOutputPurity:
