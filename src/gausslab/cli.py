@@ -343,8 +343,8 @@ def _cmd_selftest(args) -> tuple[dict, bool, RunConfig]:
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``, else a usage error.
     Sweeps take --samples >= 1 (no samples must never report a pass),
-    --support and --probe-dim >= 1 (a sample occupies at least the vacuum)
-    and every --cutoff is >= 2, the smallest Fock space."""
+    --support and --probe-dim >= 1 (a sample occupies at least the vacuum),
+    --threads >= 1, and every --cutoff is >= 2, the smallest Fock space."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
@@ -356,9 +356,9 @@ def _int_at_least(low: int):
 
 def _finite_float(low: float, strict: bool):
     """argparse type: a finite float above ``low`` (``strict``) or at least
-    ``low``, else a usage error.  Phase-space commands take --c > 0, --a0 and
-    --a0p >= 1/2 (no reference below the vacuum) and --grid-step,
-    --grid-radius > 0."""
+    ``low``, else a usage error: --c, --grid-step, --grid-radius, --scale > 0,
+    --a0, --a0p >= 1/2 (no reference below the vacuum), a Renyi --p > 1 and
+    --tol >= 0 (a NaN tolerance would accept any channel)."""
     def parse(text: str) -> float:
         value = float(text)
         if not np.isfinite(value) or value < low or (strict and value == low):
@@ -376,32 +376,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    positive = _finite_float(0.0, strict=True)
+    reference = _finite_float(0.5, strict=False)
+    order = _finite_float(1.0, strict=True)
 
     def add_common(p, channel_args=("channel",)):
         for name in channel_args:
             p.add_argument(name, help="channel JSON file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("validate", help="validate a channel file")
-    add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("classify", help="classify a channel")
-    add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = sub.add_parser("decompose", help="quantum-limited factorization")
-    add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    for name, text in (("validate", "validate a channel file"),
+                       ("classify", "classify a channel"),
+                       ("decompose", "quantum-limited factorization")):
+        p = sub.add_parser(name, help=text)
+        add_common(p)
+        p.add_argument("--tol", type=_finite_float(0.0, strict=False), default=1e-10)
 
     p = sub.add_parser("entropy", help="minimal output entropies (vacuum input)")
     add_common(p)
-    p.add_argument("--p", type=float, default=None, help="also report this Renyi order")
+    p.add_argument("--p", type=order, default=None, help="also report this Renyi order")
     p.add_argument("--bits", action="store_true", help="report in bits instead of nats")
 
     p = sub.add_parser("purity", help="maximal output purity nu_p")
     add_common(p)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=order, required=True)
 
     p = sub.add_parser("majorize", help="vacuum-optimality and majorization sweep")
     add_common(p)
@@ -410,28 +408,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_int_at_least(2), default=40)
     p.add_argument("--support", type=_int_at_least(1), default=4,
                    help="sample occupation bound")
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=_int_at_least(1), default=_threads_default())
     p.add_argument("--csv", help="write per-sample rows here")
 
     p = sub.add_parser("additivity", help="output-purity multiplicativity check")
     p.add_argument("channel_a")
     p.add_argument("channel_b")
     p.add_argument("--out")
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=order, default=2.0)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cutoff", type=_int_at_least(2), default=30)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=_int_at_least(1), default=_threads_default())
     p.add_argument("--csv")
 
     p = sub.add_parser("strictgap", help="strict-minimizer gap probes")
     add_common(p)
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=order, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(2), default=40)
 
-    positive = _finite_float(0.0, strict=True)
-    reference = _finite_float(0.5, strict=False)
     p = sub.add_parser("wehrl", help="classical-functional minimality sweep")
     p.add_argument("--out")
     p.add_argument("--a0", type=reference, default=0.5)
@@ -440,9 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-radius", type=positive, default=6.0)
     p.add_argument("--grid-step", type=positive, default=0.05)
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=order, default=2.0)
     p.add_argument("--probe-dim", type=_int_at_least(1), default=16)
-    p.add_argument("--threads", type=int, default=_threads_default())
+    p.add_argument("--threads", type=_int_at_least(1), default=_threads_default())
     p.add_argument("--csv")
 
     p = sub.add_parser("berezinlieb", help="sandwich and convolution identity check")
@@ -452,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0p", type=reference, default=0.5)
     p.add_argument("--probe", default="vacuum")
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=order, default=2.0)
     p.add_argument("--cutoff", type=_int_at_least(2), default=128)
     p.add_argument("--grid-radius", type=positive, default=6.0)
     p.add_argument("--grid-step", type=positive, default=0.05)
@@ -460,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance criteria at reduced scale")
     p.add_argument("--out")
-    p.add_argument("--scale", type=float, default=0.12)
+    p.add_argument("--scale", type=positive, default=0.12)
     p.add_argument("--quiet", action="store_true")
     return parser
 

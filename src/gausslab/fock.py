@@ -106,12 +106,6 @@ class OneModeChannelKraus:
         total[n + self.shifts[label], n] = self.coeffs[label, n]
         return total
 
-    @property
-    def ops(self) -> tuple[np.ndarray, ...]:
-        """Dense Kraus matrices, built on each access."""
-        total = self.band_sum()
-        return tuple(np.diag(np.diagonal(total, -s), -s) for s in self.shifts)
-
 
 def pure_state(space: FockSpace, amplitudes, normalize: bool = False) -> PureState:
     amp = np.asarray(amplitudes, dtype=np.complex128).ravel()
@@ -489,13 +483,6 @@ class ModePipeline:
     gain: float
 
 
-def _stages(pipeline: ModePipeline, cutoff: int) -> tuple:
-    """(attenuator kraus | None, amplifier kraus | None) of one mode."""
-    k, kappa, one = pipeline.attenuation, pipeline.gain, FockSpace(1, cutoff)
-    return (attenuator_kraus(k, one) if k < 1.0 - 1e-14 else None,
-            amplifier_kraus(kappa, one) if kappa > 1.0 + 1e-14 else None)
-
-
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _mode_transfer(pipeline: ModePipeline, d: int) -> np.ndarray:
     """Transfer matrices T[k]: rho[n, n+k] -> out[m, m+k] of one mode's
@@ -503,7 +490,9 @@ def _mode_transfer(pipeline: ModePipeline, d: int) -> np.ndarray:
     G = sum_l A_l has S[k] = G[:d-k, :d-k] * conj(G[k:, k:]) (entrywise: each
     band keeps its shift).  Cyclic layout: F[k] = blockdiag(T[k], conj(T[d-k]))
     maps rho[n, (n+k) % d], diagonal k followed by diagonal k - d = -(d-k)."""
-    att, amp = (np.eye(d) if s is None else s.band_sum() for s in _stages(pipeline, d))
+    k, kappa, one = pipeline.attenuation, pipeline.gain, FockSpace(1, d)
+    att = attenuator_kraus(k, one).band_sum() if k < 1.0 - 1e-14 else np.eye(d)
+    amp = amplifier_kraus(kappa, one).band_sum() if kappa > 1.0 + 1e-14 else np.eye(d)
     F = np.zeros((d, d, d), dtype=np.complex128)
     for k in range(d):
         m = d - k
@@ -535,21 +524,19 @@ def _apply_transfers(transfers, matrix: np.ndarray, space: FockSpace) -> np.ndar
 
 @dataclass(frozen=True)
 class FockChannel:
-    """A channel materialized as per-mode Kraus stages and transfer matrices."""
+    """A channel materialized as per-mode pipelines and transfer matrices."""
 
     space: FockSpace
     pipelines: tuple[ModePipeline, ...]
-    stages: tuple[tuple, ...]  # per mode: (attenuator kraus | None, amplifier kraus | None)
     transfers: tuple[np.ndarray, ...]  # per mode: see _mode_transfer
 
-    def apply(self, rho: FockOperator) -> FockOperator:
-        if rho.space != self.space:
+    def apply(self, state: PureState | FockOperator) -> FockOperator:
+        """The output of a pure state (through its density) or an operator."""
+        if state.space != self.space:
             raise DimensionMismatch("operator lives on a different space")
+        rho = density(state) if isinstance(state, PureState) else state
         return FockOperator(space=self.space,
                             matrix=_apply_transfers(self.transfers, rho.matrix, self.space))
-
-    def apply_pure(self, psi: PureState) -> FockOperator:
-        return self.apply(density(psi))
 
 
 def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
@@ -574,5 +561,4 @@ def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
         phase = float(np.angle(kj)) if abs(kj) > 0 else 0.0
         pipelines.append(ModePipeline(phase=phase, attenuation=k1, gain=gain))
     return FockChannel(space=space, pipelines=tuple(pipelines),
-                       stages=tuple(_stages(p, space.cutoff) for p in pipelines),
                        transfers=tuple(_mode_transfer(p, space.cutoff) for p in pipelines))

@@ -274,19 +274,13 @@ def _measure_reprepare_output(state, c: float, a0: float, a0p: float,
                               cutoff: int, leakage_budget: float) -> fock.FockOperator:
     space = fock.FockSpace(1, cutoff)
     realized = fock.realize_channel(measure_reprepare_channel(c, a0, a0p), space)
-    if isinstance(state, fock.PureState):
-        if state.space.cutoff != cutoff:
-            amp = np.zeros(cutoff, dtype=np.complex128)
-            amp[: state.space.cutoff] = state.amplitudes[:cutoff]
-            state = fock.pure_state(space, amp, normalize=True)
-        out = realized.apply_pure(state)
-    else:
-        if state.space.cutoff != cutoff:
-            mat = np.zeros((cutoff, cutoff), dtype=np.complex128)
-            m = min(state.space.cutoff, cutoff)
-            mat[:m, :m] = state.matrix[:m, :m]
-            state = fock.FockOperator(space=space, matrix=mat)
-        out = realized.apply(state)
+    if state.space.cutoff != cutoff:
+        rho = fock.density(state) if isinstance(state, fock.PureState) else state
+        mat = np.zeros((cutoff, cutoff), dtype=np.complex128)
+        m = min(state.space.cutoff, cutoff)
+        mat[:m, :m] = rho.matrix[:m, :m]
+        state = fock.FockOperator(space=space, matrix=mat)
+    out = realized.apply(state)
     lk = fock.leakage(out)
     if lk > leakage_budget:
         raise TruncationLeakage(

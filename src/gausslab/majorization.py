@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -275,60 +276,25 @@ def _seeded_draw(evaluate, seed: int, index: int, space: fock.FockSpace, support
     )
 
 
-class _SpectrumSampler:
-    """Realize the channel once, then map states to output spectra."""
-
-    def __init__(self, ch: GaugeCovariantChannel, cutoff: int,
-                 sample_support: int = 4, leakage_budget: float = LEAKAGE_BUDGET):
-        self.space = fock.FockSpace(ch.modes, cutoff)
-        self.realized = fock.realize_channel(ch, self.space)
-        self.support = sample_support
-        self.budget = leakage_budget
-
-    def spectrum_of(self, state: fock.PureState | fock.FockOperator) -> tuple[np.ndarray, float]:
-        if isinstance(state, fock.PureState):
-            out = self.realized.apply_pure(state)
-        else:
-            out = self.realized.apply(state)
-        lam = fock.spectrum(out)
-        return lam, float(1.0 - lam.sum())
-
-    def vacuum_spectrum(self) -> np.ndarray:
-        lam, _ = self.spectrum_of(fock.vacuum_state(self.space))
-        return lam
-
-    def sampled_spectrum(self, base_seed: int, index: int) -> tuple[str, np.ndarray, float, int]:
-        lam, lk, retry = _seeded_draw(self.spectrum_of, base_seed, index, self.space,
-                                      self.support, self.budget)
-        tag = f"haar[{base_seed},{index}]" if retry == 0 else \
-            f"haar[{base_seed},{index},{retry}]"
-        return tag, lam, lk, retry
-
-
-def vacuum_optimality_test(ch: GaugeCovariantChannel, f: ConcaveFunctional,
-                           n_samples: int, seed: int, cutoff: int = 40,
-                           sample_support: int = 4,
-                           include_coherent_probes: bool = True,
-                           threads: int = 1) -> OptimalityReport:
-    """Search for inputs beating the vacuum on Tr f of the channel output.
-
-    Evaluates Haar samples (occupation-bounded) plus the deterministic probe
-    set; the gap ``min sampled value - vacuum value`` should never be
-    significantly negative.
-    """
-    reports = optimality_sweep(ch, (f,), n_samples, seed, cutoff=cutoff,
-                               sample_support=sample_support,
-                               include_coherent_probes=include_coherent_probes,
-                               threads=threads)
-    return reports[0]
+def _output_spectrum(realized: fock.FockChannel,
+                     state: fock.PureState | fock.FockOperator) -> tuple[np.ndarray, float]:
+    """The output spectrum of ``state`` and its leakage ``1 - sum``."""
+    lam = fock.spectrum(realized.apply(state))
+    return lam, float(1.0 - lam.sum())
 
 
 def optimality_sweep(ch: GaugeCovariantChannel, fs, n_samples: int, seed: int,
                      cutoff: int = 40, sample_support: int = 4,
                      include_coherent_probes: bool = True,
                      threads: int = 1) -> list[OptimalityReport]:
-    """Same as :func:`vacuum_optimality_test` for a family of functionals:
-    one :func:`majorization_sweep`, reduced by :func:`optimality_reports`."""
+    """Search for inputs beating the vacuum on Tr f of the channel output,
+    one report per functional f in ``fs``.
+
+    Evaluates Haar samples (occupation-bounded) plus the deterministic probe
+    set in one :func:`majorization_sweep`, reduced by
+    :func:`optimality_reports`; the gap ``min sampled value - vacuum value``
+    should never be significantly negative.
+    """
     sweep = majorization_sweep(ch, n_samples, seed, cutoff=cutoff,
                                sample_support=sample_support,
                                include_coherent_probes=include_coherent_probes,
@@ -372,14 +338,21 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
     :func:`optimality_reports`.  Leakage mass is left as a zero tail (never
     renormalized), which only lowers the sampled partial sums.
     """
-    sampler = _SpectrumSampler(ch, cutoff, sample_support)
-    vac = sampler.vacuum_spectrum()
+    space = fock.FockSpace(ch.modes, cutoff)
+    realized = fock.realize_channel(ch, space)
+    spectrum_of = functools.partial(_output_spectrum, realized)
+    vac, _ = spectrum_of(fock.vacuum_state(space))
     inputs = []  # (seed tag, label, spectrum, leakage)
     if ch.modes == 1:
-        for tag, probe in default_pure_probes(sampler.space, include_coherent_probes):
-            inputs.append(("probe", tag, *sampler.spectrum_of(probe)))
-    samples = parallel_map(lambda idx: sampler.sampled_spectrum(seed, idx),
-                           range(n_samples), threads)
+        for tag, probe in default_pure_probes(space, include_coherent_probes):
+            inputs.append(("probe", tag, *spectrum_of(probe)))
+
+    def draw(idx: int) -> tuple[str, np.ndarray, float, int]:
+        lam, lk, retry = _seeded_draw(spectrum_of, seed, idx, space, sample_support, LEAKAGE_BUDGET)
+        tag = f"haar[{seed},{idx}]" if retry == 0 else f"haar[{seed},{idx},{retry}]"
+        return tag, lam, lk, retry
+
+    samples = parallel_map(draw, range(n_samples), threads)
     inputs += [(str(seed), tag, lam, lk) for tag, lam, lk, _ in samples]
     rows = []
     for seed_tag, tag, lam, lk in inputs:
@@ -413,9 +386,8 @@ def optimize_input(ch: GaugeCovariantChannel, f: ConcaveFunctional,
         support = min(8, space.dim)
 
     def value_of(vec: np.ndarray) -> float:
-        out = realized.apply(fock.FockOperator(space=space, matrix=np.outer(vec, vec.conj())))
-        lam = fock.spectrum(out)
-        if 1.0 - lam.sum() > leakage_budget:
+        lam, lk = _output_spectrum(realized, fock.PureState(space=space, amplitudes=vec))
+        if lk > leakage_budget:
             return np.inf
         return trace_functional(lam, f)
 
@@ -464,28 +436,27 @@ def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
     strict = strictness_conditions(ch)
     if not (strict.condition_a or strict.condition_b):
         raise ConditionNotMet("channel satisfies neither strict-minimizer condition")
-    sampler = _SpectrumSampler(ch, cutoff)
-    vac = trace_functional(sampler.vacuum_spectrum(), f)
-    rows = []
-    d = sampler.space.cutoff
-    pure = default_pure_probes(sampler.space, include_coherent=False)
-    for tag, probe in pure:
-        lam, _ = sampler.spectrum_of(probe)
-        v = trace_functional(lam, f)
-        rows.append(StrictGapRow(label=tag, kind="pure", value=v, gap=v - vac))
-    coh = fock.coherent_state(coherent_amplitude, sampler.space)
-    dephased = fock.FockOperator(space=sampler.space,
+    def value_of(realized: fock.FockChannel, state) -> float:
+        return trace_functional(_output_spectrum(realized, state)[0], f)
+
+    space = fock.FockSpace(ch.modes, cutoff)
+    realized = fock.realize_channel(ch, space)
+    vac = value_of(realized, fock.vacuum_state(space))
+    coh = fock.coherent_state(coherent_amplitude, space)
+    dephased = fock.FockOperator(space=space,
                                  matrix=np.diag(np.abs(coh.amplitudes) ** 2).astype(complex))
-    mixed = [("thermal(0.3)", fock.thermal_state(0.3, sampler.space)),
-             ("dephased-coherent(0.7)", dephased)]
-    for tag, probe in mixed:
-        lam, _ = sampler.spectrum_of(probe)
-        v = trace_functional(lam, f)
-        rows.append(StrictGapRow(label=tag, kind="mixed", value=v, gap=v - vac))
-    big = _SpectrumSampler(ch, max(cutoff, coherent_cutoff))
-    vac_big = trace_functional(big.vacuum_spectrum(), f)
-    lam, _ = big.spectrum_of(fock.coherent_state(coherent_amplitude, big.space))
-    coh_value = trace_functional(lam, f)
+    probes = [(tag, "pure", probe)
+              for tag, probe in default_pure_probes(space, include_coherent=False)]
+    probes += [("thermal(0.3)", "mixed", fock.thermal_state(0.3, space)),
+               ("dephased-coherent(0.7)", "mixed", dephased)]
+    rows = []
+    for tag, kind, probe in probes:
+        v = value_of(realized, probe)
+        rows.append(StrictGapRow(label=tag, kind=kind, value=v, gap=v - vac))
+    big_space = fock.FockSpace(ch.modes, max(cutoff, coherent_cutoff))
+    big = fock.realize_channel(ch, big_space)
+    vac_big = value_of(big, fock.vacuum_state(big_space))
+    coh_value = value_of(big, fock.coherent_state(coherent_amplitude, big_space))
     rows.append(StrictGapRow(label=f"coherent({coherent_amplitude})", kind="coherent",
                              value=coh_value, gap=coh_value - vac_big))
     min_gap = min(r.gap for r in rows if r.kind != "coherent")
@@ -518,7 +489,7 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
     realized = fock.realize_channel(tensor_channel(a, b), space)
 
     def purity_of(psi: fock.PureState) -> tuple[float, float]:
-        out = realized.apply_pure(psi).matrix
+        out = realized.apply(psi).matrix
         if abs(p - 2.0) < 1e-12:
             val = float(np.sum(np.abs(out) ** 2))
         else:

@@ -88,7 +88,7 @@ def criterion_2_purity_oracle(scale: float = 1.0) -> CriterionResult:
     table = {}
     for name, ch in _suite_channels().items():
         realized = fock.realize_channel(ch, space)
-        lam = fock.spectrum(realized.apply_pure(fock.vacuum_state(space)))
+        lam = fock.spectrum(realized.apply(fock.vacuum_state(space)))
         for p in (1.5, 2.0, 3.0):
             brute = float(np.sum(lam ** p))
             closed = output_purity(ch, p)
@@ -136,9 +136,9 @@ def criterion_4_coherent_equality(scale: float = 1.0) -> CriterionResult:
     worst = 0.0
     for name, ch in _suite_channels().items():
         realized = fock.realize_channel(ch, space)
-        vac = fock.spectrum(realized.apply_pure(fock.vacuum_state(space)))
+        vac = fock.spectrum(realized.apply(fock.vacuum_state(space)))
         for zeta in (0.5, 1.0, 0.5j, 1.0j):
-            lam = fock.spectrum(realized.apply_pure(fock.coherent_state(zeta, space)))
+            lam = fock.spectrum(realized.apply(fock.coherent_state(zeta, space)))
             for f in fs:
                 worst = max(worst, abs(mj.trace_functional(lam, f)
                                        - mj.trace_functional(vac, f)))

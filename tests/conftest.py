@@ -32,3 +32,18 @@ def noise05():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(1234)
+
+
+def dense_ops(kraus: fock.OneModeChannelKraus) -> list[np.ndarray]:
+    """Dense Kraus matrices A_l of a banded Kraus list, one per shift."""
+    total = kraus.band_sum()
+    return [np.diag(np.diagonal(total, -s), -s) for s in kraus.shifts]
+
+
+def mode_stages(realized: fock.FockChannel) -> tuple:
+    """(attenuator kraus | None, amplifier kraus | None) of a realized
+    one-mode channel, rebuilt from its pipeline; a unit stage is None."""
+    k, kappa = realized.pipelines[0].attenuation, realized.pipelines[0].gain
+    one = fock.FockSpace(1, realized.space.cutoff)
+    return (fock.attenuator_kraus(k, one) if k < 1.0 - 1e-14 else None,
+            fock.amplifier_kraus(kappa, one) if kappa > 1.0 + 1e-14 else None)

@@ -357,6 +357,48 @@ class TestArgumentBounds:
                                               "--grid-step", "0.2"])
         assert (code, report) == (1, None)
 
+    # tolerances, Renyi orders, thread counts and the selftest scale
+
+    @pytest.mark.parametrize("value", ["nan", "-1e-3", "inf"])
+    @pytest.mark.parametrize("command", ["validate", "classify", "decompose"])
+    def test_tolerance(self, tmp_path, files, command, value):
+        # the channel is invalid; every comparison with a NaN tolerance is false
+        code, report = run_to_file(tmp_path, [command, files["invalid"], f"--tol={value}"])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["1", "0.5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["purity", "entropy", "additivity", "strictgap",
+                                         "wehrl", "berezinlieb"])
+    def test_renyi_order(self, tmp_path, files, command, value):
+        argv = {
+            "purity": ["purity", files["amp15"]],
+            "entropy": ["entropy", files["amp15"]],
+            "additivity": ["additivity", files["amp_sqrt2"], files["amp_sqrt2"],
+                           "--samples", "1", "--seed", "1"],
+            "strictgap": ["strictgap", files["amp15"], "--f", "renyi"],
+            "wehrl": ["wehrl", "--samples", "1", "--seed", "1", "--f", "renyi"],
+            "berezinlieb": ["berezinlieb", "--c", "2", "--f", "renyi"],
+        }[command]
+        code, report = run_to_file(tmp_path, argv + ["--p", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["majorize", "additivity", "wehrl"])
+    def test_threads(self, tmp_path, files, command, value):
+        argv = {
+            "majorize": ["majorize", files["att07"]],
+            "additivity": ["additivity", files["amp_sqrt2"], files["amp_sqrt2"]],
+            "wehrl": ["wehrl"],
+        }[command]
+        code, report = run_to_file(tmp_path, argv + ["--samples", "1", "--seed", "1",
+                                                     "--threads", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])
+    def test_selftest_scale(self, tmp_path, value):
+        code, report = run_to_file(tmp_path, ["selftest", "--quiet", "--scale", value])
+        assert (code, report) == (1, None)
+
 
 class TestImport:
     def test_cli_does_not_import_scipy_signal(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import dense_ops, mode_stages
 
 from gausslab import fock
 from gausslab.husimi import measure_reprepare_channel
@@ -18,7 +19,7 @@ from gausslab.errors import (
     ParameterOutOfRange,
     TruncationLeakage,
 )
-from gausslab.states import apply_channel, gaussian_state
+from gausslab.states import apply_channel, gaussian_state, tensor_channel
 
 
 class TestCoherentState:
@@ -70,8 +71,8 @@ class TestDisplacement:
 class TestAttenuatorKraus:
     def test_unit_transmission_is_identity(self, space40):
         kraus = fock.attenuator_kraus(1.0, space40)
-        assert len(kraus.ops) == 1
-        assert np.abs(kraus.ops[0] - np.eye(40)).max() < 1e-12
+        assert len(dense_ops(kraus)) == 1
+        assert np.abs(dense_ops(kraus)[0] - np.eye(40)).max() < 1e-12
 
     def test_single_photon_balanced_split(self, space40):
         kraus = fock.attenuator_kraus(np.sqrt(0.5), space40)
@@ -111,8 +112,8 @@ class TestAttenuatorKraus:
 class TestAmplifierKraus:
     def test_unit_gain_is_identity(self, space40):
         kraus = fock.amplifier_kraus(1.0, space40)
-        assert len(kraus.ops) == 1
-        assert np.abs(kraus.ops[0] - np.eye(40)).max() < 1e-12
+        assert len(dense_ops(kraus)) == 1
+        assert np.abs(dense_ops(kraus)[0] - np.eye(40)).max() < 1e-12
 
     def test_vacuum_becomes_thermal(self, space40):
         kraus = fock.amplifier_kraus(np.sqrt(2), space40)
@@ -190,7 +191,7 @@ class TestApplyKraus:
         rho = fock.density(psi)
         out = fock.apply_kraus([None, att], rho)
         oracle = np.zeros_like(rho.matrix)
-        for a in att.ops:
+        for a in dense_ops(att):
             big = np.kron(np.eye(d), a)
             oracle += big @ rho.matrix @ big.conj().T
         assert np.abs(out.matrix - oracle).max() < 1e-12
@@ -206,9 +207,9 @@ def dense_sandwich(realized, rho: np.ndarray) -> np.ndarray:
     sum_l A_l rho A_l^dag per stage with the dense Kraus matrices."""
     ph = np.exp(1j * realized.pipelines[0].phase * np.arange(realized.space.cutoff))
     out = ph[:, None] * rho * ph.conj()[None, :]
-    for stage in realized.stages[0]:
+    for stage in mode_stages(realized):
         if stage is not None:
-            out = sum(a @ out @ a.conj().T for a in stage.ops)
+            out = sum(a @ out @ a.conj().T for a in dense_ops(stage))
     return out
 
 
@@ -240,7 +241,7 @@ class TestTransferKernel:
                                                      (fock.amplifier_kraus, 1.5, 39)])
     def test_completeness_defect_matches_dense(self, space40, builder, param, n_max):
         kraus = builder(param, space40)
-        total = sum(a.conj().T @ a for a in kraus.ops)
+        total = sum(a.conj().T @ a for a in dense_ops(kraus))
         dense = np.abs(total[: n_max + 1, : n_max + 1] - np.eye(n_max + 1)).max()
         assert abs(fock.kraus_completeness_defect(kraus, n_max) - dense) <= 1e-14 + 1e-9 * dense
 
@@ -252,6 +253,25 @@ class TestTransferKernel:
             info = cache.cache_info()
             assert info.maxsize == fock.CACHE_SIZE
             assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("ch,space", [
+        (classical_noise_channel(0.5), fock.FockSpace(1, 40)),
+        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), fock.FockSpace(2, 12)),
+    ], ids=["one-mode", "two-mode"])
+    def test_pure_input_is_its_density(self, ch, space):
+        realized = fock.realize_channel(ch, space)
+        psi = fock.random_pure_state(7, space, support=4)
+        assert np.array_equal(realized.apply(psi).matrix,
+                              realized.apply(fock.density(psi)).matrix)
+
+    @pytest.mark.parametrize("state", [
+        fock.vacuum_state(fock.FockSpace(1, 24)),
+        fock.density(fock.vacuum_state(fock.FockSpace(2, 20))),
+    ], ids=["pure", "mixed"])
+    def test_rejects_state_on_another_space(self, state):
+        realized = fock.realize_channel(attenuator_channel(0.6), fock.FockSpace(1, 20))
+        with pytest.raises(DimensionMismatch):
+            realized.apply(state)
 
 
 class TestGaugeRotation:
@@ -411,7 +431,7 @@ class TestRealizeChannel:
         ch = build_channel(np.diag([0.5 * np.exp(1j * phi)]), np.diag([0.375]))
         realized = fock.realize_channel(ch, space40)
         zeta = 1.0
-        out = realized.apply_pure(fock.coherent_state(zeta, space40))
+        out = realized.apply(fock.coherent_state(zeta, space40))
         target = fock.coherent_state(0.5 * np.exp(1j * phi) * zeta, space40).amplitudes
         fidelity = np.real(target.conj() @ out.matrix @ target)
         assert fidelity >= 1 - 1e-8
@@ -430,8 +450,8 @@ class TestBeamsplitter:
         u = fock.beamsplitter_unitary(theta, fock.FockSpace(2, d)).matrix
         kraus = fock.attenuator_kraus(0.6, fock.FockSpace(1, d))
         # A_l[m, n] = <m, l| U |n, 0>
-        assert len(kraus.ops) == d
-        for l, a in enumerate(kraus.ops):
+        assert len(dense_ops(kraus)) == d
+        for l, a in enumerate(dense_ops(kraus)):
             for n in range(d):
                 m = n - l
                 if m < 0:

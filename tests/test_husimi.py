@@ -76,7 +76,7 @@ def gaussian_smeared_q(rho: fock.FockOperator, a0: float, z_nodes, order: int = 
     out = []
     for z in np.ravel(z_nodes):
         phi = closed_form_columns(z + u, rho.space.cutoff)
-        q = np.real(np.einsum("im,mn,in->i", phi.conj(), rho.matrix, phi))
+        q = np.real(np.sum((phi.conj() @ rho.matrix) * phi, axis=1))
         out.append(weight @ q)
     return np.array(out)
 
@@ -133,7 +133,7 @@ class TestBatchedEvaluation:
 
     @pytest.fixture(scope="class")
     def batch(self, space):
-        sigma = fock.realize_channel(hu.measure_reprepare_channel(0.7), space).apply_pure(
+        sigma = fock.realize_channel(hu.measure_reprepare_channel(0.7), space).apply(
             fock.number_state(space, 1))
         return [fock.vacuum_state(space), fock.random_pure_state(5, space, support=8),
                 sigma, fock.number_state(space, 3), fock.thermal_state(0.4, space),
@@ -212,7 +212,7 @@ class TestThermalReferenceDuality:
             "coherent": lambda: fock.coherent_state(0.7, space),
             # mixed, occupying about one photon: the recursion stays accurate
             "measure-reprepare": lambda: fock.realize_channel(
-                hu.measure_reprepare_channel(0.7), space).apply_pure(
+                hu.measure_reprepare_channel(0.7), space).apply(
                     fock.number_state(space, 1)),
         }[kind]()
         nodes = scale * coarse.nodes
@@ -223,7 +223,7 @@ class TestThermalReferenceDuality:
         # the measure-reprepare output of coherent(0.7) at c = 2 spreads over
         # about six photons; at a0 = 2 the displaced-number-state sum is off
         # by 4e-2 at the rescaled nodes, the duality is not
-        sigma = fock.realize_channel(hu.measure_reprepare_channel(2.0), space).apply_pure(
+        sigma = fock.realize_channel(hu.measure_reprepare_channel(2.0), space).apply(
             fock.coherent_state(0.7, space))
         nodes = (2.0 * coarse.nodes)[coarse.mask][::97]
         got = hu.husimi_values(sigma, 2.0, nodes)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import dense_ops, mode_stages
 from hypothesis import strategies as st
 
 from gausslab import fock
@@ -81,22 +82,22 @@ class TestPolygonalApproximation:
 
 class TestVacuumOptimality:
     def test_identity_channel_trivial(self):
-        rep = mj.vacuum_optimality_test(identity_channel(1), mj.von_neumann_functional(),
-                                        n_samples=10, seed=2, cutoff=24)
+        rep, = mj.optimality_sweep(identity_channel(1), (mj.von_neumann_functional(),),
+                                   n_samples=10, seed=2, cutoff=24)
         assert rep.vacuum_value == pytest.approx(0.0, abs=1e-10)
         assert rep.gap >= -1e-10
 
     def test_attenuator_sweep(self, att06):
-        rep = mj.vacuum_optimality_test(att06, mj.von_neumann_functional(),
-                                        n_samples=60, seed=5, cutoff=40)
+        rep, = mj.optimality_sweep(att06, (mj.von_neumann_functional(),),
+                                   n_samples=60, seed=5, cutoff=40)
         assert rep.vacuum_value == pytest.approx(0.0, abs=1e-10)
         assert rep.gap >= -1e-8
         assert rep.rejected == 0
 
     def test_amplifier_vacuum_value_matches_purity(self, amp15):
-        rep = mj.vacuum_optimality_test(amp15, mj.renyi_functional(2.0),
-                                        n_samples=30, seed=5, cutoff=40,
-                                        include_coherent_probes=False)
+        rep, = mj.optimality_sweep(amp15, (mj.renyi_functional(2.0),),
+                                   n_samples=30, seed=5, cutoff=40,
+                                   include_coherent_probes=False)
         assert rep.vacuum_value == pytest.approx(-output_purity(amp15, 2.0), abs=1e-9)
         assert rep.gap >= -1e-8
 
@@ -108,8 +109,8 @@ class TestVacuumOptimality:
             assert rep.gap >= -1e-8
 
     def test_report_gap_definition(self, amp15):
-        rep = mj.vacuum_optimality_test(amp15, mj.von_neumann_functional(),
-                                        n_samples=5, seed=3, cutoff=40)
+        rep, = mj.optimality_sweep(amp15, (mj.von_neumann_functional(),),
+                                   n_samples=5, seed=3, cutoff=40)
         assert rep.gap == rep.best_sampled_value - rep.vacuum_value
 
     def test_two_mode_tensor_channel(self, att06):
@@ -155,7 +156,7 @@ class TestOptimizeInput:
                                         fock.vacuum_state(space), max_iters=8, step=0.05)
         realized = fock.realize_channel(amp15, space)
         vac_value = mj.trace_functional(
-            fock.spectrum(realized.apply_pure(fock.vacuum_state(space))),
+            fock.spectrum(realized.apply(fock.vacuum_state(space))),
             mj.von_neumann_functional())
         assert value >= vac_value - 1e-6
 
@@ -166,7 +167,7 @@ class TestOptimizeInput:
                                         max_iters=50, step=0.2, support=6)
         realized = fock.realize_channel(amp15, space)
         vac_value = mj.trace_functional(
-            fock.spectrum(realized.apply_pure(fock.vacuum_state(space))),
+            fock.spectrum(realized.apply(fock.vacuum_state(space))),
             mj.von_neumann_functional())
         assert value >= vac_value - 1e-6
         _, fidelity = mj.coherent_fit(best)
@@ -179,7 +180,7 @@ class TestOptimizeInput:
                                         init, max_iters=30, step=0.15, support=6)
         realized = fock.realize_channel(noise05, space)
         vac_value = mj.trace_functional(
-            fock.spectrum(realized.apply_pure(fock.vacuum_state(space))),
+            fock.spectrum(realized.apply(fock.vacuum_state(space))),
             mj.von_neumann_functional())
         assert value >= vac_value - 1e-6
 
@@ -234,10 +235,10 @@ def _composite_kraus(ch, cutoff: int, support: int) -> list[np.ndarray]:
     """Dense one-mode Kraus list of ``ch`` (amplifier after attenuator after
     phase), attenuator labels trimmed to the sampled occupation support."""
     realized = fock.realize_channel(ch, fock.FockSpace(1, cutoff))
-    att, amp = realized.stages[0]
+    att, amp = mode_stages(realized)
     rot = np.diag(np.exp(1j * realized.pipelines[0].phase * np.arange(cutoff)))
-    ops = [rot] if att is None else [A @ rot for A in att.ops[: support + 1]]
-    return ops if amp is None else [B @ A for B in amp.ops for A in ops]
+    ops = [rot] if att is None else [A @ rot for A in dense_ops(att)[: support + 1]]
+    return ops if amp is None else [B @ A for B in dense_ops(amp) for A in ops]
 
 
 def _gram_purity(ops_a, ops_b, psi, p: float) -> tuple[float, float]:
@@ -318,16 +319,16 @@ class TestAdditivity:
 
 class TestSerialization:
     def test_report_json_roundtrip(self, tmp_path, att06):
-        rep = mj.vacuum_optimality_test(att06, mj.von_neumann_functional(),
-                                        n_samples=5, seed=1, cutoff=24)
+        rep, = mj.optimality_sweep(att06, (mj.von_neumann_functional(),),
+                                   n_samples=5, seed=1, cutoff=24)
         path = tmp_path / "report.json"
         text = mj.report_to_json(rep, path)
         assert path.read_text() == text
         assert '"vacuum_value"' in text
 
     def test_rows_to_csv(self, tmp_path, att06):
-        rep = mj.vacuum_optimality_test(att06, mj.von_neumann_functional(),
-                                        n_samples=5, seed=1, cutoff=24)
+        rep, = mj.optimality_sweep(att06, (mj.von_neumann_functional(),),
+                                   n_samples=5, seed=1, cutoff=24)
         path = tmp_path / "rows.csv"
         mj.rows_to_csv(rep.rows, path)
         lines = path.read_text().splitlines()

@@ -212,7 +212,7 @@ class TestOutputPurity:
         ch = amplifier_channel(np.sqrt(2))
         space = fock.FockSpace(1, 60)
         realized = fock.realize_channel(ch, space)
-        lam = fock.spectrum(realized.apply_pure(fock.vacuum_state(space)))
+        lam = fock.spectrum(realized.apply(fock.vacuum_state(space)))
         for p in (1.5, 2.0, 3.0):
             assert abs(float(np.sum(lam ** p)) - output_purity(ch, p)) < 1e-8
 
