@@ -478,9 +478,9 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
     """Fock check of nu_p(a (x) b) = nu_p(a) nu_p(b) on entangled inputs.
 
     Samples Haar two-mode pure states with bounded occupation, applies
-    a (x) b through its transfer kernel, computes Tr out^p (at p = 2 the
-    squared Frobenius norm, otherwise from the eigenvalues) and compares it
-    to the closed-form bound; vacuum (x) vacuum must attain it.
+    a (x) b through its transfer kernel, computes Tr out^p with
+    :func:`gausslab.fock.trace_power` and compares it to the closed-form
+    bound; vacuum (x) vacuum must attain it.
     """
     if a.modes != 1 or b.modes != 1:
         raise ConditionNotMet("additivity_test needs one-mode factors")
@@ -489,13 +489,8 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
     realized = fock.realize_channel(tensor_channel(a, b), space)
 
     def purity_of(psi: fock.PureState) -> tuple[float, float]:
-        out = realized.apply(psi).matrix
-        if abs(p - 2.0) < 1e-12:
-            val = float(np.sum(np.abs(out) ** 2))
-        else:
-            lam = np.clip(np.linalg.eigvalsh(out), 0.0, None)
-            val = float(np.sum(lam ** p))
-        return val, 1.0 - float(np.real(np.trace(out)))
+        out = realized.apply(psi)
+        return fock.trace_power(out, p), fock.leakage(out)
 
     vacuum_value, _ = purity_of(fock.vacuum_state(space))
     outcomes = parallel_map(

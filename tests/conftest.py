@@ -40,10 +40,10 @@ def dense_ops(kraus: fock.OneModeChannelKraus) -> list[np.ndarray]:
     return [np.diag(np.diagonal(total, -s), -s) for s in kraus.shifts]
 
 
-def mode_stages(realized: fock.FockChannel) -> tuple:
-    """(attenuator kraus | None, amplifier kraus | None) of a realized
-    one-mode channel, rebuilt from its pipeline; a unit stage is None."""
-    k, kappa = realized.pipelines[0].attenuation, realized.pipelines[0].gain
+def mode_stages(realized: fock.FockChannel, mode: int = 0) -> tuple:
+    """(attenuator kraus | None, amplifier kraus | None) of one mode of a
+    realized channel, rebuilt from its pipeline; a unit stage is None."""
+    k, kappa = realized.pipelines[mode].attenuation, realized.pipelines[mode].gain
     one = fock.FockSpace(1, realized.space.cutoff)
     return (fock.attenuator_kraus(k, one) if k < 1.0 - 1e-14 else None,
             fock.amplifier_kraus(kappa, one) if kappa > 1.0 + 1e-14 else None)

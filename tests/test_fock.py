@@ -14,6 +14,7 @@ from gausslab.channels import (
 from gausslab.errors import (
     AmplitudeTooLarge,
     DimensionMismatch,
+    InvalidState,
     NotDiagonal,
     NotHermitian,
     ParameterOutOfRange,
@@ -202,15 +203,24 @@ class TestApplyKraus:
             fock.apply_kraus(kraus, fock.density(fock.vacuum_state(space40)))
 
 
+def on_mode(a: np.ndarray, x: np.ndarray, mode: int) -> np.ndarray:
+    """A x A^dag with A acting on one mode of x, axes [m1, (m2,) n1, (n2)]."""
+    modes = x.ndim // 2
+    x = np.moveaxis(np.tensordot(a, x, axes=(1, mode)), 0, mode)
+    return np.moveaxis(np.tensordot(a.conj(), x, axes=(1, modes + mode)), 0, modes + mode)
+
+
 def dense_sandwich(realized, rho: np.ndarray) -> np.ndarray:
-    """Reference for a one-mode channel: gauge phase, then
+    """Reference for a product channel: per mode, gauge phase, then
     sum_l A_l rho A_l^dag per stage with the dense Kraus matrices."""
-    ph = np.exp(1j * realized.pipelines[0].phase * np.arange(realized.space.cutoff))
-    out = ph[:, None] * rho * ph.conj()[None, :]
-    for stage in mode_stages(realized):
-        if stage is not None:
-            out = sum(a @ out @ a.conj().T for a in dense_ops(stage))
-    return out
+    d, modes = realized.space.cutoff, realized.space.modes
+    x = rho.reshape((d,) * (2 * modes))
+    for mode, pipeline in enumerate(realized.pipelines):
+        x = on_mode(np.diag(np.exp(1j * pipeline.phase * np.arange(d))), x, mode)
+        for stage in mode_stages(realized, mode):
+            if stage is not None:
+                x = sum(on_mode(a, x, mode) for a in dense_ops(stage))
+    return x.reshape(rho.shape)
 
 
 def operator_pair(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +232,58 @@ def operator_pair(d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(psi.amplitudes, psi.amplitudes.conj()), other
 
 
+PHASE_CHANNEL = build_channel(np.diag([0.5 * np.exp(0.7j)]), np.diag([0.6]))
+
+
+def boxed_inputs(space: fock.FockSpace, box: tuple[int, ...], seed: int) -> list:
+    """(state, dense density) pairs that vanish outside the first box[j]
+    levels of each mode j: a pure state, a Hermitian and a non-Hermitian
+    operator, and two operators whose rows and columns occupy different
+    boxes (one row level, or one column level, per mode)."""
+    rng = np.random.default_rng(seed)
+    d, modes = space.cutoff, space.modes
+    inside = tuple(slice(s) for s in box)
+
+    def noise(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    grid = np.zeros((d,) * modes, dtype=complex)
+    grid[inside] = noise(box)
+    psi = fock.pure_state(space, grid, normalize=True)
+    other = np.zeros((d,) * (2 * modes), dtype=complex)
+    other[inside * 2] = noise(box * 2)
+    other = other.reshape(space.dim, space.dim)
+    mixed = other @ other.conj().T
+    rows = np.zeros((d,) * (2 * modes), dtype=complex)
+    rows[inside + (slice(1),) * modes] = noise(box + (1,) * modes)
+    rows = rows.reshape(space.dim, space.dim)
+    ops = [mixed / np.trace(mixed), other, rows, rows.T.copy()]
+    return [(psi, fock.density(psi).matrix)] + [(fock.FockOperator(space, m), m) for m in ops]
+
+
+def loop_transfer(pipeline: fock.ModePipeline, d: int) -> np.ndarray:
+    """Reference cyclic transfers, one product per diagonal."""
+    one = fock.FockSpace(1, d)
+    k1, kappa = pipeline.attenuation, pipeline.gain
+    att = fock.attenuator_kraus(k1, one).band_sum() if k1 < 1.0 - 1e-14 else np.eye(d)
+    amp = fock.amplifier_kraus(kappa, one).band_sum() if kappa > 1.0 + 1e-14 else np.eye(d)
+    F = np.zeros((d, d, d), dtype=np.complex128)
+    for k in range(d):
+        m = d - k
+        block = np.exp(-1j * pipeline.phase * k) * (
+            (amp[:m, :m] * amp[k:, k:].conj()) @ (att[:m, :m] * att[k:, k:].conj()))
+        F[k, :m, :m] = block
+        if k:
+            F[d - k, k:, k:] = block.conj()
+    return F
+
+
 class TestTransferKernel:
     @pytest.mark.parametrize("ch,d", [
         (attenuator_channel(0.6), 40),
         (amplifier_channel(1.5), 40),
         (classical_noise_channel(0.5), 40),
-        (build_channel(np.diag([0.5 * np.exp(0.7j)]), np.diag([0.6])), 40),
+        (PHASE_CHANNEL, 40),
         (measure_reprepare_channel(3.0), 128),
     ], ids=["attenuator", "amplifier", "classical-noise", "phase", "measure-reprepare"])
     def test_matches_dense_sandwich(self, ch, d):
@@ -235,6 +291,46 @@ class TestTransferKernel:
         for rho in operator_pair(d, 41):
             out = realized.apply(fock.FockOperator(realized.space, rho)).matrix
             assert np.abs(out - dense_sandwich(realized, rho)).max() < 1e-12
+
+    @pytest.mark.parametrize("space,box", [
+        (fock.FockSpace(1, 12), (1,)),
+        (fock.FockSpace(1, 12), (2,)),
+        (fock.FockSpace(1, 12), (3,)),
+        (fock.FockSpace(1, 12), (12,)),
+        (fock.FockSpace(2, 8), (1, 1)),
+        (fock.FockSpace(2, 8), (2, 2)),
+        (fock.FockSpace(2, 8), (3, 3)),
+        (fock.FockSpace(2, 8), (8, 8)),
+        (fock.FockSpace(2, 8), (1, 3)),
+        (fock.FockSpace(2, 8), (3, 2)),
+        (fock.FockSpace(2, 8), (8, 2)),
+    ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"{v.modes}mode")
+    def test_support_aware_apply_matches_dense_sandwich(self, space, box):
+        ch = (PHASE_CHANNEL if space.modes == 1
+              else tensor_channel(PHASE_CHANNEL, classical_noise_channel(0.5)))
+        realized = fock.realize_channel(ch, space)
+        for state, rho in boxed_inputs(space, box, 17):
+            out = realized.apply(state).matrix
+            assert np.abs(out - dense_sandwich(realized, rho)).max() < 1e-12
+
+    def test_untouched_mode_keeps_its_box(self):
+        space = fock.FockSpace(2, 8)
+        att = fock.attenuator_kraus(0.5, fock.FockSpace(1, 8))
+        for state, rho in boxed_inputs(space, (3, 2), 5):
+            op = state if isinstance(state, fock.FockOperator) else fock.density(state)
+            oracle = sum(on_mode(a, rho.reshape((8,) * 4), 1) for a in dense_ops(att))
+            out = fock.apply_kraus([None, att], op).matrix
+            assert np.abs(out - oracle.reshape(64, 64)).max() < 1e-12
+
+    @pytest.mark.parametrize("ch,d", [
+        (classical_noise_channel(0.5), 40),
+        (PHASE_CHANNEL, 40),
+        (measure_reprepare_channel(3.0), 128),
+    ], ids=["classical-noise", "phase", "measure-reprepare"])
+    def test_batched_transfers_match_loop(self, ch, d):
+        realized = fock.realize_channel(ch, fock.FockSpace(1, d))
+        reference = loop_transfer(realized.pipelines[0], d)
+        assert np.abs(realized.transfers[0] - reference).max() <= 1e-15
 
     @pytest.mark.parametrize("builder,param,n_max", [(fock.attenuator_kraus, 0.6, 30),
                                                      (fock.amplifier_kraus, 1.2, 5),
@@ -249,7 +345,8 @@ class TestTransferKernel:
         space = fock.FockSpace(1, 8)
         for i in range(fock.CACHE_SIZE + 3):
             fock.realize_channel(attenuator_channel(0.05 * (i + 1)), space)
-        for cache in (fock._banded_kraus, fock._mode_transfer):
+        fock.realize_channel(attenuator_channel(0.5), space).apply(fock.vacuum_state(space))
+        for cache in (fock._banded_kraus, fock._mode_transfer, fock._cyclic_columns):
             info = cache.cache_info()
             assert info.maxsize == fock.CACHE_SIZE
             assert info.currsize <= info.maxsize
@@ -382,6 +479,59 @@ class TestSpectrum:
         mat[0, 1] = 1.0
         with pytest.raises(NotHermitian):
             fock.spectrum(fock.FockOperator(space40, mat))
+
+    def test_diagonal_read_off_its_entries(self, space40):
+        w = np.linspace(0.2, -5e-9, 40)
+        lam = fock.spectrum(fock.FockOperator(space40, np.diag(w[::-1]).astype(complex)))
+        assert np.array_equal(lam, np.clip(w, 0.0, None))
+
+    def test_diagonal_below_clamp_is_invalid(self, space40):
+        w = np.zeros(40)
+        w[:2] = [0.6, 0.4 + 2e-8]
+        w[7] = -2e-8
+        with pytest.raises(InvalidState):
+            fock.spectrum(fock.FockOperator(space40, np.diag(w).astype(complex)))
+
+    def test_diagonal_rejects_non_hermitian(self, space40):
+        mat = np.diag(np.full(40, 1 / 40)).astype(complex)
+        mat[3, 3] += 1e-6j
+        with pytest.raises(NotHermitian):
+            fock.spectrum(fock.FockOperator(space40, mat))
+
+
+class TestTracePower:
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5])
+    @pytest.mark.parametrize("input_kind", ["sample", "vacuum"])
+    def test_matches_eigenvalue_sum(self, p, input_kind):
+        space = fock.FockSpace(2, 14)
+        realized = fock.realize_channel(
+            tensor_channel(amplifier_channel(1.2), attenuator_channel(0.7)), space)
+        state = (fock.random_pure_state(5, space, support=3) if input_kind == "sample"
+                 else fock.vacuum_state(space))
+        out = realized.apply(state)
+        diagonal = np.array_equal(out.matrix, np.diag(np.diagonal(out.matrix)))
+        assert diagonal == (input_kind == "vacuum")
+        lam = np.clip(np.linalg.eigvalsh(out.matrix), 0.0, None)
+        assert fock.trace_power(out, p) == pytest.approx(np.sum(lam ** p), abs=1e-12)
+
+    def test_one_mode_output(self, space40):
+        out = fock.realize_channel(classical_noise_channel(0.5), space40).apply(
+            fock.random_pure_state(2, space40, support=4))
+        lam = np.clip(np.linalg.eigvalsh(out.matrix), 0.0, None)
+        for p in (2.0, 3.0, 4.0, 2.5):
+            assert fock.trace_power(out, p) == pytest.approx(np.sum(lam ** p), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
+    def test_fock_diagonal_below_clamp_is_invalid(self, space40, p):
+        negative = np.diag(np.r_[1.0 + 1e-6, np.zeros(38), -1e-6]).astype(complex)
+        with pytest.raises(InvalidState):
+            fock.trace_power(fock.FockOperator(space40, negative), p)
+
+    def test_non_integer_order_rejects_non_hermitian(self, space40):
+        skew = np.diag(np.full(40, 1 / 40)).astype(complex)
+        skew[0, 1] = 1e-6
+        with pytest.raises(NotHermitian):
+            fock.trace_power(fock.FockOperator(space40, skew), 2.5)
 
 
 class TestRandomStates:

@@ -11,7 +11,7 @@ from gausslab.channels import (
     attenuator_channel,
     identity_channel,
 )
-from gausslab.errors import ConditionNotMet
+from gausslab.errors import ConditionNotMet, InvalidState, NotHermitian
 from gausslab.states import output_purity
 
 
@@ -260,6 +260,7 @@ class TestAdditivity:
         ((np.sqrt(2), np.sqrt(2)), 2.0, 28),
         ((np.sqrt(2), np.sqrt(2)), 3.0, 28),
         ((1.5, 0.7), 2.0, 40),
+        ((1.5, 0.7), 4.0, 40),
     ])
     def test_matches_dense_kraus_gram_reference(self, gains, p, cutoff):
         # same seeded draws and redraws as additivity_test, evaluated through
@@ -309,6 +310,24 @@ class TestAdditivity:
         rep = mj.additivity_test(amp, amp, 1.5, n_samples=5, seed=5, cutoff=30)
         assert rep.vacuum_value == pytest.approx(rep.bound, abs=1e-7)
         assert rep.max_sample_value <= rep.bound + 1e-8
+
+    @pytest.mark.parametrize("defect,error", [("skew", NotHermitian), ("negative", InvalidState)])
+    def test_non_integer_order_checks_each_output(self, monkeypatch, defect, error):
+        # a faulty output must fail as it does in majorize, not be clipped
+        apply = fock.FockChannel.apply
+
+        def faulty(self, state):
+            out = apply(self, state).matrix.copy()
+            if defect == "skew":
+                out[0, 1] += 1e-6
+            else:
+                out[-1, -1] -= 1e-6
+            return fock.FockOperator(self.space, out)
+
+        monkeypatch.setattr(fock.FockChannel, "apply", faulty)
+        amp = amplifier_channel(np.sqrt(2))
+        with pytest.raises(error):
+            mj.additivity_test(amp, amp, 2.5, n_samples=1, seed=1, cutoff=12)
 
     def test_rejects_multimode_factors(self):
         two_mode = attenuator_channel([0.5, 0.5])
