@@ -20,11 +20,12 @@ Gauge covariance organizes the channel layer.  Each Kraus operator of a
 quantum-limited stage is one band, ``A_l |n> = c_l[n] |n -/+ l>``, stored as
 (shift, coefficient vector).  A gauge-covariant channel maps each diagonal
 ``rho[n, n+k]`` into the same output diagonal, so a one-mode pipeline (gauge
-phase, attenuator, amplifier) composes into per-diagonal transfer matrices
-``T[k]``, and every channel application multiplies the operator's diagonals
-by them, per mode.  An input occupying the first s levels of a mode has
-nonzero diagonals only for |k| < s, so only those are multiplied, by the
-first s columns of their transfers.  Bands and transfers sit in LRU caches.
+phase, attenuator, amplifier) acts diagonal by diagonal: the phase
+multiplies diagonal k by ``e^{-i phase k}`` and each stage multiplies it by
+a matrix read off its band sum ``G = sum_l A_l``, per mode.  An input
+occupying the first s levels of a mode has nonzero diagonals only for
+|k| < s, so only those are multiplied, by the first s columns of the stage
+matrices.  Kraus bands, with their band sums, sit in an LRU cache.
 
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
@@ -40,7 +41,6 @@ import scipy.linalg as sla
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammaln, xlogy
 
-from ._linalg import hermiticity_defect
 from .channels import GaugeCovariantChannel
 from .errors import (
     AmplitudeTooLarge,
@@ -54,8 +54,9 @@ from .errors import (
 )
 
 DIM_GUARD = 4096
-CACHE_SIZE = 8  # entries per LRU cache; one verdict or criterion uses at most six
-_TRANSFER_GROUP = 8  # diagonals per batched transfer product
+# entries per LRU cache; one verdict or criterion uses at most six.  A Kraus
+# entry holds at most 6 d^2 floats: its bands, its band sum and that tiled 2 x 2.
+CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,19 @@ class OneModeChannelKraus:
         total = np.zeros((self.space.cutoff,) * 2, dtype=self.coeffs.dtype)
         total[n + self.shifts[label], n] = self.coeffs[label, n]
         return total
+
+    @functools.cached_property
+    def rolled_band_sum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(G, W), read-only: the band sum G and its rolled view
+        W[k, i, j] = G[(k+i) % d, (k+j) % d] of one copy of G tiled 2 x 2
+        (4 d^2 entries).  G is kept apart, contiguous: a full-support stage
+        multiplies W by it 1.3x (d = 40) to 1.6x (d = 128) faster than by
+        the strided corner of the tiled copy."""
+        d = self.space.cutoff
+        G = _readonly(self.band_sum())
+        tiled = _readonly(np.tile(G, (2, 2)))
+        row, col = tiled.strides
+        return G, as_strided(tiled, (d, d, d), (row + col, row, col), writeable=False)
 
 
 def pure_state(space: FockSpace, amplitudes, normalize: bool = False) -> PureState:
@@ -287,14 +301,17 @@ def spectrum(rho: FockOperator, clamp: float = 1e-8) -> np.ndarray:
     A Fock-diagonal operator's spectrum is read off its diagonal."""
     m = rho.matrix
     diagonal = _is_fock_diagonal(m)
-    # on a diagonal operator, |m - m^dag| is 2 |Im m[n, n]|
-    defect = 2.0 * float(np.abs(np.diagonal(m).imag).max()) if diagonal else hermiticity_defect(m)
+    if diagonal:  # |m - m^dag| is 2 |Im m[n, n]|
+        defect = 2.0 * float(np.abs(np.diagonal(m).imag).max())
+    else:  # one adjoint copy for the defect and the Hermitian part
+        adjoint = m.conj().T
+        defect = float(np.abs(m - adjoint).max())
     if defect > 1e-10:
         raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
     if diagonal:
         w = np.sort(np.diagonal(m).real)[::-1]
     else:
-        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1]
+        w = np.linalg.eigvalsh(0.5 * (m + adjoint))[::-1]
     if w[-1] < -clamp:
         raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -{clamp:.1e}")
     return np.clip(w, 0.0, None)
@@ -418,15 +435,11 @@ def apply_kraus(kraus, rho: FockOperator) -> FockOperator:
         kraus = (kraus,)
     if space.modes != len(kraus):
         raise DimensionMismatch(f"need {space.modes} per-mode channels, got {len(kraus)}")
-    transfers = []
-    for stage in kraus:
-        if stage is not None and stage.space.cutoff != space.cutoff:
-            raise DimensionMismatch("Kraus cutoff does not match the operator")
-        transfers.append(None if stage is None else _mode_transfer(
-            ModePipeline(0.0, stage.parameter, 1.0) if stage.kind == "attenuator"
-            else ModePipeline(0.0, 1.0, stage.parameter), space.cutoff))
-    return FockOperator(space=space,
-                        matrix=_apply_transfers(transfers, _occupied_block(rho), space))
+    if any(stage is not None and stage.space.cutoff != space.cutoff for stage in kraus):
+        raise DimensionMismatch("Kraus cutoff does not match the operator")
+    stages = tuple(() if stage is None else (stage,) for stage in kraus)
+    return FockOperator(space=space, matrix=_apply_stages(
+        (0.0,) * space.modes, stages, _occupied_block(rho), space))
 
 
 def complementary_output(kappa: float, rho: FockOperator) -> FockOperator:
@@ -520,43 +533,6 @@ class ModePipeline:
     gain: float
 
 
-def _diagonal_shifts(G: np.ndarray) -> np.ndarray:
-    """Read-only view W[k, i, j] = G[k+i, k+j], zero past the cutoff."""
-    d = len(G)
-    padded = np.zeros((2 * d, 2 * d), dtype=G.dtype)
-    padded[:d, :d] = G
-    row, col = padded.strides
-    return as_strided(padded, (d, d, d), (row + col, row, col), writeable=False)
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _mode_transfer(pipeline: ModePipeline, d: int) -> np.ndarray:
-    """Transfer matrices T[k]: rho[n, n+k] -> out[m, m+k] of one mode's
-    pipeline, T[k] = e^{-i phase k} S_amp[k] S_att[k], where a stage with
-    G = sum_l A_l has S[k] = G[:d-k, :d-k] * conj(G[k:, k:]) (entrywise: each
-    band keeps its shift).  Cyclic layout: F[k] = blockdiag(T[k], conj(T[d-k]))
-    maps rho[n, (n+k) % d], diagonal k followed by diagonal k - d = -(d-k).
-    The products are batched over groups of diagonals, each zero-padded to
-    its widest member."""
-    k, kappa, one = pipeline.attenuation, pipeline.gain, FockSpace(1, d)
-    att = attenuator_kraus(k, one).band_sum() if k < 1.0 - 1e-14 else np.eye(d)
-    amp = amplifier_kraus(kappa, one).band_sum() if kappa > 1.0 + 1e-14 else np.eye(d)
-    phase = np.exp(-1j * pipeline.phase * np.arange(d))
-    amp_shifts, att_shifts = _diagonal_shifts(amp), _diagonal_shifts(att)
-    F = np.zeros((d, d, d), dtype=np.complex128)
-    for start in range(0, d, _TRANSFER_GROUP):
-        stop = min(start + _TRANSFER_GROUP, d)
-        m = d - start  # the group's widest diagonal; the others are zero-padded to it
-        products = ((amp[:m, :m] * amp_shifts[start:stop, :m, :m].conj())
-                    @ (att[:m, :m] * att_shifts[start:stop, :m, :m].conj()))
-        for k, product in zip(range(start, stop), products):
-            block = F[k, :d - k, :d - k]
-            np.multiply(product[:d - k, :d - k], phase[k], out=block)
-            if k:
-                np.conjugate(block, out=F[d - k, k:, k:])
-    return _readonly(F)
-
-
 def _extent(occupied: np.ndarray) -> int:
     """One past the last occupied level of a 1-D mask, at least 1."""
     levels = np.flatnonzero(occupied)
@@ -593,19 +569,27 @@ def _cyclic_columns(d: int) -> np.ndarray:
     return _readonly((n + n[:, None]) % d)
 
 
-def _apply_transfers(transfers, block: np.ndarray, space: FockSpace) -> np.ndarray:
+def _apply_stages(phases, stages, block: np.ndarray, space: FockSpace) -> np.ndarray:
     """The one channel-application path, on the input's occupied box (see
-    :func:`_occupied_block`).  Per mode (None leaves it alone) of support s,
-    the only cyclic diagonals x[n, (n+k) % d] that can be nonzero are
-    |k| < s (k < s or k > d - s), and only for n < s: each is multiplied by
-    the first s columns of F[k] and scattered back; the other output
-    diagonals stay zero by gauge covariance.  At full support s = d this is
-    every diagonal at full width."""
+    :func:`_occupied_block`).  Per mode, a gauge phase and a tuple of
+    quantum-limited stages (phase 0 and no stages leave the mode alone).
+    For a mode of support s, the only cyclic diagonals x[n, (n+k) % d] that
+    can be nonzero are |k| < s (k < s or k > d - s), and only for n < s:
+    each is gathered, multiplied by e^{-i phase (col - row)} and by each
+    stage's matrix, and scattered back; the other output diagonals stay
+    zero by gauge covariance.  A stage with band sum G maps cyclic diagonal
+    k by G * W[k] (see :attr:`OneModeChannelKraus.rolled_band_sum`), which
+    is blockdiag(S[k], S[d-k]) with S[k] = G[:d-k, :d-k] * G[k:, k:] (each
+    band keeps its shift): G is triangular, upper for the attenuator and
+    lower for the amplifier, so the cross blocks vanish.  The attenuator
+    keeps the row box s, the amplifier fills the cutoff.  G is real, so each
+    stage is one real batched product on the float view of the diagonals.
+    At full support s = d this is every diagonal at full width."""
     d, modes = space.cutoff, space.modes
     levels, cols = np.arange(d), _cyclic_columns(d)
     x = block
-    for mode, F in enumerate(transfers):
-        if F is None:
+    for mode, (phase, mode_stages) in enumerate(zip(phases, stages)):
+        if not phase and not mode_stages:
             continue
         order = (mode, modes + mode) + tuple(a for a in range(2 * modes) if a % modes != mode)
         xm = x.transpose(order)  # [m, n, rest]
@@ -614,13 +598,22 @@ def _apply_transfers(transfers, block: np.ndarray, space: FockSpace) -> np.ndarr
         ks = levels if full else np.concatenate([levels[:s], levels[d - s + 1:]])
         if s < d:  # pad the column axis so the cyclic gather can index it
             xm = np.concatenate([xm, np.zeros((s, d - s) + rest, dtype=xm.dtype)], axis=1)
-        kcols = cols if full else cols[ks]
-        gathered = xm[levels[:s], kcols[:, :s]].reshape(len(ks), s, -1)
+        kcols = cols[ks, :s]
+        y = xm[levels[:s], kcols].reshape(len(ks), s, -1)
+        if phase:
+            y *= np.exp(-1j * phase * (kcols - levels[:s]))[:, :, None]
+        rows = s
+        for stage in mode_stages:
+            G, W = stage.rolled_band_sum
+            width, rows = rows, d if stage.kind == "amplifier" else rows
+            M = W[ks, :rows, :width]
+            M *= G[:rows, :width]
+            y = (M @ y.view(np.float64)).view(np.complex128)
+            del M  # before the next stage allocates: two alive made full-support applies 2x slower
         shape = list(x.shape)
         shape[mode] = shape[modes + mode] = d
         out = np.zeros(shape, dtype=np.complex128)
-        out.transpose(order)[levels, kcols] = (
-            ((F[:, :, :s] if full else F[ks, :, :s]) @ gathered).reshape((len(ks), d) + rest))
+        out.transpose(order)[levels[:rows], cols[ks, :rows]] = y.reshape((len(ks), rows) + rest)
         x = out
     if x.shape != (d,) * (2 * modes):  # a mode left alone keeps its box
         x = np.pad(x, [(0, d - n) for n in x.shape])
@@ -629,11 +622,12 @@ def _apply_transfers(transfers, block: np.ndarray, space: FockSpace) -> np.ndarr
 
 @dataclass(frozen=True)
 class FockChannel:
-    """A channel materialized as per-mode pipelines and transfer matrices."""
+    """A channel materialized as per-mode pipelines: the gauge phase, and
+    the Kraus lists of the non-unit stages (attenuator, then amplifier)."""
 
     space: FockSpace
     pipelines: tuple[ModePipeline, ...]
-    transfers: tuple[np.ndarray, ...]  # per mode: see _mode_transfer
+    stages: tuple[tuple[OneModeChannelKraus, ...], ...]
 
     def apply(self, state: PureState | FockOperator) -> FockOperator:
         """The output of a pure state (through its density, formed on the
@@ -641,8 +635,8 @@ class FockChannel:
         if state.space != self.space:
             raise DimensionMismatch("operator lives on a different space")
         return FockOperator(space=self.space,
-                            matrix=_apply_transfers(self.transfers, _occupied_block(state),
-                                                    self.space))
+                            matrix=_apply_stages([p.phase for p in self.pipelines], self.stages,
+                                                 _occupied_block(state), self.space))
 
 
 def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
@@ -658,7 +652,7 @@ def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
         if (np.abs(ch.K - np.diag(np.diagonal(ch.K))).max() > 1e-12
                 or np.abs(ch.mu - np.diag(np.diagonal(ch.mu))).max() > 1e-12):
             raise NotDiagonal("multimode realization needs diagonal K and mu")
-    pipelines = []
+    pipelines, stages, one = [], [], FockSpace(1, space.cutoff)
     for j in range(ch.modes):
         kj = complex(ch.K[j, j])
         mj = float(np.real(ch.mu[j, j]))
@@ -666,5 +660,6 @@ def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
         k1 = min(abs(kj) / gain, 1.0)
         phase = float(np.angle(kj)) if abs(kj) > 0 else 0.0
         pipelines.append(ModePipeline(phase=phase, attenuation=k1, gain=gain))
-    return FockChannel(space=space, pipelines=tuple(pipelines),
-                       transfers=tuple(_mode_transfer(p, space.cutoff) for p in pipelines))
+        stages.append(((attenuator_kraus(k1, one),) if k1 < 1.0 - 1e-14 else ())
+                      + ((amplifier_kraus(gain, one),) if gain > 1.0 + 1e-14 else ()))
+    return FockChannel(space=space, pipelines=tuple(pipelines), stages=tuple(stages))

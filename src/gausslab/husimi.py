@@ -13,10 +13,11 @@ closed-form coherent columns ``<m|D(z)|0>``, so arbitrary node sets
 need no interpolation.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
 reduced to it by gauge-covariant channel duality,
 ``p^{a0}_rho(z) = kappa^-2 Q_{L[rho]}(z / kappa)``, where ``L`` is the
-quantum-limited attenuator of transmission ``1/kappa`` applied on the Fock
-transfer kernel.  :func:`berezin_lieb_fields` makes one pass per input
-(one channel application, one evaluation at the rescaled nodes, one
-smoothing) and the sandwich, convolution and smoothing checks reduce it.
+quantum-limited attenuator of transmission ``1/kappa`` applied as one Fock
+stage (:func:`gausslab.fock.apply_kraus`).  :func:`berezin_lieb_fields`
+makes one pass per input (one channel application, one evaluation at the
+rescaled nodes, one smoothing) and the sandwich, convolution and smoothing
+checks reduce it.
 """
 
 from __future__ import annotations

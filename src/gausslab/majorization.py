@@ -11,7 +11,7 @@ One sampling pass serves both halves of the majorization claim:
 :func:`majorization_sweep` maps the vacuum, the probes and the seeded
 samples (redrawn past the leakage budget) to output spectra once, and
 :func:`optimality_reports` reduces those same spectra by concave
-functionals.  Every channel application goes through the Fock transfer
+functionals.  Every channel application goes through the Fock stage
 kernel (:meth:`gausslab.fock.FockChannel.apply`), the two-mode
 :func:`additivity_test` included.
 """
@@ -478,7 +478,7 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
     """Fock check of nu_p(a (x) b) = nu_p(a) nu_p(b) on entangled inputs.
 
     Samples Haar two-mode pure states with bounded occupation, applies
-    a (x) b through its transfer kernel, computes Tr out^p with
+    a (x) b stage by stage, per mode, computes Tr out^p with
     :func:`gausslab.fock.trace_power` and compares it to the closed-form
     bound; vacuum (x) vacuum must attain it.
     """
