@@ -25,7 +25,9 @@ multiplies diagonal k by ``e^{-i phase k}`` and each stage multiplies it by
 a matrix read off its band sum ``G = sum_l A_l``, per mode.  An input
 occupying the first s levels of a mode has nonzero diagonals only for
 |k| < s, so only those are multiplied, by the first s columns of the stage
-matrices.  Kraus bands, with their band sums, sit in an LRU cache.
+matrices.  Kraus bands, with their band sums, sit in an LRU cache.  The
+output keeps that structure, nonzero only on the diagonals |m_j - n_j| < s
+of each mode, and trace powers are formed on those diagonals.
 
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
@@ -317,20 +319,107 @@ def spectrum(rho: FockOperator, clamp: float = 1e-8) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def _diagonal_widths(m: np.ndarray, space: FockSpace) -> tuple[int, ...]:
+    """Per mode j, one past the largest |m_j - n_j| of a nonzero entry
+    m[(m_1, m_2), (n_1, n_2)] of a contiguous complex128 operator: all
+    widths are 1 exactly when the operator is Fock-diagonal.  By gauge
+    covariance a channel output of an input that occupies s levels of a
+    mode has width at most s there.  One scan of the nonzero mask, reduced
+    over the other mode's axes leading axis first (the fast order); the
+    last axis holds (real, imaginary) pairs."""
+    d, modes = space.cutoff, space.modes
+    nonzero = (m.view(np.float64) != 0).reshape((d,) * (2 * modes - 1) + (2 * d,))
+    widths = []
+    for j in range(modes):
+        plane = nonzero
+        for removed, axis in enumerate(a for a in range(2 * modes) if a % modes != j):
+            plane = plane.any(axis=axis - removed)
+        rows, cols = np.nonzero(plane.reshape(d, d, -1).any(axis=2))
+        widths.append(int(np.abs(rows - cols).max()) + 1 if rows.size else 1)
+    return tuple(widths)
+
+
+def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum(a * conj(b)) over complex arrays of one shape, as one dot
+    product per row of the float views and a pairwise sum of the rows:
+    as accurate as np.sum of the products (np.vdot runs one BLAS
+    accumulation and loses two digits on a 900 x 900 operator) and
+    2.6x faster than np.sum(np.abs(a) ** 2)."""
+    a, b = (np.ascontiguousarray(x, dtype=np.complex128).view(np.float64) for x in (a, b))
+    return float(np.einsum("...j,...j->...", a, b).sum())
+
+
+# A vectorized multiply-add over numpy arrays costs about as much as this
+# many multiply-adds inside a complex matrix product (5-7 ns against
+# 0.16-0.2 ns per entry at dimension 900, one OpenBLAS thread): the banded
+# square of trace_power is taken only when it is cheaper at that rate.
+_ELEMENTWISE_COST = 32
+
+
+def _banded_square(m: np.ndarray, widths: tuple[int, ...], d: int):
+    """(Y, S): the occupied photon-number diagonals of m and of m @ m.
+
+    Y[k, x] = m[x, x + k] for per-mode offsets |k_j| < w_j, zero where
+    x + k leaves the cutoff, with x stored at x_j + w_j - 1 of a grid padded
+    by w_j - 1 on both sides and flattened, so that shifting x by an offset
+    a is shifting the flat index by one number.  The square's entry
+    (x, x + a + c) sums m[x, x + a] m[x + a, x + a + c] over a: per offset
+    a, one multiply-add of Y[a] into every S[a + c], prod_j (2 w_j - 1) of them.
+    S holds offsets |k_j| < 2 w_j - 1; index i of an offset axis is offset
+    i - (w_j - 1) in Y and i - 2 (w_j - 1) in S."""
+    modes = len(widths)
+    rho = m.reshape((d,) * (2 * modes))
+    x = np.arange(d)
+    rows, cols, inside = [], [], True
+    for j, w in enumerate(widths):
+        at_k, at_x = [1] * (2 * modes), [1] * (2 * modes)
+        at_k[j] = at_x[modes + j] = -1
+        row = x.reshape(at_x)
+        col = row + np.arange(1 - w, w).reshape(at_k)
+        inside = inside & (col >= 0) & (col < d)
+        rows.append(row)
+        cols.append(np.clip(col, 0, d - 1))
+    Y = np.pad(np.where(inside, rho[tuple(rows + cols)], 0),
+               [(0, 0)] * modes + [(w - 1, w - 1) for w in widths])
+    offsets, grid = Y.shape[:modes], Y.shape[modes:]
+    Y = Y.reshape(offsets + (-1,))
+    n = Y.shape[-1]
+    strides = [int(np.prod(grid[j + 1:])) for j in range(modes)]
+    S = np.zeros(tuple(2 * k - 1 for k in offsets) + (n,), dtype=np.complex128)
+    for a in np.ndindex(*offsets):
+        shift = sum((i - w + 1) * stride for i, w, stride in zip(a, widths, strides))
+        lo, hi = max(0, -shift), n - max(0, shift)
+        window = tuple(slice(i, i + k) for i, k in zip(a, offsets))
+        S[window + (slice(lo, hi),)] += Y[a + (slice(lo, hi),)] * Y[..., lo + shift:hi + shift]
+    return Y, S
+
+
 def trace_power(rho: FockOperator, p: float) -> float:
     """Tr rho^p of a state.  Orders 2, 3 and 4 of an operator with
-    off-diagonal entries come from at most one dense product (at dimension
-    900 one product costs about a third of an eigensolve): sum |rho|^2,
-    Re sum((rho @ rho) * conj(rho)) and sum |rho @ rho|^2, which take the
-    operator to be Hermitian, as every channel output is.  Any other order,
-    and any Fock-diagonal operator, sums :func:`spectrum` to the power p, with
+    off-diagonal entries come from its occupied photon-number diagonals
+    (:func:`_diagonal_widths`): sum |rho|^2, Re sum((rho @ rho) * conj(rho))
+    and sum |rho @ rho|^2, which take the operator to be Hermitian, as every
+    channel output is.  At orders 3 and 4 the square is formed diagonal by
+    diagonal (:func:`_banded_square`; the third order reads it only on
+    rho's diagonals), or as one dense product when the bands are so wide
+    that this is cheaper, at full support for one.  Any other order, and
+    any Fock-diagonal operator, sums :func:`spectrum` to the power p, with
     its Hermiticity and negativity checks."""
-    m = rho.matrix
-    if p in (2, 3, 4) and not _is_fock_diagonal(m):
-        if p == 2:
-            return float(np.sum(np.abs(m) ** 2))
-        square = m @ m
-        return float(np.real(np.sum(square * (m if p == 3 else square).conj())))
+    if p in (2, 3, 4):
+        m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
+        widths = _diagonal_widths(m, rho.space)
+        if max(widths) > 1:
+            if p == 2:
+                return _real_inner(m, m)
+            offsets = np.prod([2 * w - 1 for w in widths])
+            padded = np.prod([d + 2 * w - 2 for w in widths])
+            if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
+                Y, S = _banded_square(m, widths, d)
+                if p == 4:
+                    return _real_inner(S, S)
+                return _real_inner(S[tuple(slice(w - 1, 3 * w - 2) for w in widths)], Y)
+            square = m @ m
+            return _real_inner(square, m if p == 3 else square)
     return float(np.sum(spectrum(rho) ** p))
 
 
@@ -582,14 +671,17 @@ def _apply_stages(phases, stages, block: np.ndarray, space: FockSpace) -> np.nda
     is blockdiag(S[k], S[d-k]) with S[k] = G[:d-k, :d-k] * G[k:, k:] (each
     band keeps its shift): G is triangular, upper for the attenuator and
     lower for the amplifier, so the cross blocks vanish.  The attenuator
-    keeps the row box s, the amplifier fills the cutoff.  G is real, so each
-    stage is one real batched product on the float view of the diagonals.
-    At full support s = d this is every diagonal at full width."""
+    keeps the row box s, the amplifier fills the cutoff; a mode that keeps
+    its box is cropped back to it while a later mode is still to be
+    processed.  G is real, so each stage is one real batched product on the
+    float view of the diagonals.  At full support s = d this is every
+    diagonal at full width."""
     d, modes = space.cutoff, space.modes
     levels, cols = np.arange(d), _cyclic_columns(d)
+    busy = [mode for mode in range(modes) if phases[mode] or stages[mode]]
     x = block
     for mode, (phase, mode_stages) in enumerate(zip(phases, stages)):
-        if not phase and not mode_stages:
+        if mode not in busy:
             continue
         order = (mode, modes + mode) + tuple(a for a in range(2 * modes) if a % modes != mode)
         xm = x.transpose(order)  # [m, n, rest]
@@ -615,6 +707,10 @@ def _apply_stages(phases, stages, block: np.ndarray, space: FockSpace) -> np.nda
         out = np.zeros(shape, dtype=np.complex128)
         out.transpose(order)[levels[:rows], cols[ks, :rows]] = y.reshape((len(ks), rows) + rest)
         x = out
+        if rows < d and mode != busy[-1]:  # the next mode's gather runs over this box only
+            box = [slice(None)] * (2 * modes)
+            box[mode] = box[modes + mode] = slice(rows)
+            x = out[tuple(box)]
     if x.shape != (d,) * (2 * modes):  # a mode left alone keeps its box
         x = np.pad(x, [(0, d - n) for n in x.shape])
     return x.reshape(space.dim, space.dim)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -517,6 +519,50 @@ class TestTracePower:
         lam = np.clip(np.linalg.eigvalsh(out.matrix), 0.0, None)
         for p in (2.0, 3.0, 4.0, 2.5):
             assert fock.trace_power(out, p) == pytest.approx(np.sum(lam ** p), abs=1e-12)
+
+    SQRT2_PAIR = tensor_channel(amplifier_channel(np.sqrt(2)), amplifier_channel(np.sqrt(2)))
+
+    @staticmethod
+    def vacuum_times_haar(space):
+        one = fock.FockSpace(1, space.cutoff)
+        return fock.tensor_pure(fock.vacuum_state(one), fock.random_pure_state(3, one, support=3))
+
+    @pytest.mark.parametrize("ch,space,state,widths,banded", [
+        (SQRT2_PAIR, fock.FockSpace(2, 30), lambda s: fock.random_pure_state(1, s, support=3),
+         (3, 3), True),
+        (tensor_channel(amplifier_channel(1.5), attenuator_channel(0.7)), fock.FockSpace(2, 40),
+         lambda s: fock.random_pure_state(2, s, support=3), (3, 3), True),
+        (SQRT2_PAIR, fock.FockSpace(2, 30), vacuum_times_haar, (1, 3), True),
+        (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.7)), fock.FockSpace(2, 8),
+         lambda s: fock.random_pure_state(4, s), (8, 8), False),
+        (amplifier_channel(1.5), fock.FockSpace(1, 40),
+         lambda s: fock.coherent_state(1.0 + 0.5j, s), (40,), False),
+    ], ids=["sqrt2-pair-d30", "amp1.5-att0.7-d40", "vacuum-haar3", "full-support-d8",
+            "one-mode-coherent"])
+    def test_diagonals_match_dense_product(self, monkeypatch, ch, space, state, widths, banded):
+        out = fock.realize_channel(ch, space).apply(state(space))
+        assert fock._diagonal_widths(out.matrix, space) == widths
+        calls = []
+        square = fock._banded_square
+        monkeypatch.setattr(fock, "_banded_square", lambda *a: calls.append(a) or square(*a))
+        m = out.matrix
+        dense = m @ m  # the reference: one dense product
+        for p, reference in ((3, np.real(np.sum(dense * m.conj()))),
+                             (4, np.real(np.sum(dense * dense.conj())))):
+            assert fock.trace_power(out, p) == pytest.approx(reference, rel=1e-14, abs=0)
+        assert len(calls) == (2 if banded else 0)
+
+    def test_banded_order_three_holds_no_dense_array(self):
+        space = fock.FockSpace(2, 30)
+        out = fock.realize_channel(self.SQRT2_PAIR, space).apply(
+            fock.random_pure_state(1, space, support=3))
+        tracemalloc.start()
+        try:
+            fock.trace_power(out, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.matrix.nbytes  # one 900 x 900 complex array: 13 MB
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
     def test_fock_diagonal_below_clamp_is_invalid(self, space40, p):

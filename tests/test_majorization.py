@@ -259,6 +259,7 @@ class TestAdditivity:
         ((np.sqrt(2), np.sqrt(2)), 1.5, 28),
         ((np.sqrt(2), np.sqrt(2)), 2.0, 28),
         ((np.sqrt(2), np.sqrt(2)), 3.0, 28),
+        ((np.sqrt(2), np.sqrt(2)), 4.0, 28),
         ((1.5, 0.7), 2.0, 40),
         ((1.5, 0.7), 4.0, 40),
     ])
