@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -369,7 +370,10 @@ def _finite_float(low: float, strict: bool):
     return parse
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It holds no value read from the
+    environment: a --threads left out is resolved when a command runs."""
     parser = argparse.ArgumentParser(
         prog="gausslab",
         description="Gaussian gauge-covariant channel algebra and verification suites",
@@ -408,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=_int_at_least(2), default=40)
     p.add_argument("--support", type=_int_at_least(1), default=4,
                    help="sample occupation bound")
-    p.add_argument("--threads", type=_int_at_least(1), default=_threads_default())
+    p.add_argument("--threads", type=_int_at_least(1))
     p.add_argument("--csv", help="write per-sample rows here")
 
     p = sub.add_parser("additivity", help="output-purity multiplicativity check")
@@ -419,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cutoff", type=_int_at_least(2), default=30)
-    p.add_argument("--threads", type=_int_at_least(1), default=_threads_default())
+    p.add_argument("--threads", type=_int_at_least(1))
     p.add_argument("--csv")
 
     p = sub.add_parser("strictgap", help="strict-minimizer gap probes")
@@ -438,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
     p.add_argument("--p", type=order, default=2.0)
     p.add_argument("--probe-dim", type=_int_at_least(1), default=16)
-    p.add_argument("--threads", type=_int_at_least(1), default=_threads_default())
+    p.add_argument("--threads", type=_int_at_least(1))
     p.add_argument("--csv")
 
     p = sub.add_parser("berezinlieb", help="sandwich and convolution identity check")
@@ -478,11 +482,12 @@ _HANDLERS = {
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, emit the report; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    if getattr(args, "threads", 1) is None:
+        args.threads = _threads_default()
     try:
         report, passed, config = _HANDLERS[args.command](args)
     except (FileFormatError, UsageError, DimensionTooLarge, FileNotFoundError,

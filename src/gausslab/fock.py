@@ -26,8 +26,12 @@ a matrix read off its band sum ``G = sum_l A_l``, per mode.  An input
 occupying the first s levels of a mode has nonzero diagonals only for
 |k| < s, so only those are multiplied, by the first s columns of the stage
 matrices.  Kraus bands, with their band sums, sit in an LRU cache.  The
-output keeps that structure, nonzero only on the diagonals |m_j - n_j| < s
-of each mode, and trace powers are formed on those diagonals.
+output keeps that structure: it is nonzero only on the diagonals
+|m_j - n_j| < s of each mode, and only in the first s levels of a mode
+behind an attenuator alone.  One scan of an operator's nonzero mask reads
+both, per mode the occupied box and the diagonal width; applies crop a
+mixed input to its box, trace powers are formed on the occupied diagonals,
+and spectra eigensolve the box's block alone and pad it with zeros.
 
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
@@ -290,53 +294,70 @@ def require_leakage(rho: FockOperator, budget: float = 1e-6) -> FockOperator:
     return rho
 
 
-def _is_fock_diagonal(m: np.ndarray) -> bool:
-    """No nonzero entry off the diagonal (vacuum and number-state outputs of
-    gauge-covariant channels).  Row r of the flat entries after the first,
-    cut into rows of n + 1, holds the n entries between two diagonal ones."""
-    n = len(m)
-    return not m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :-1].any()
-
-
-def spectrum(rho: FockOperator, clamp: float = 1e-8) -> np.ndarray:
-    """Real eigenvalues, descending; negatives above -clamp are set to 0.
-    A Fock-diagonal operator's spectrum is read off its diagonal."""
-    m = rho.matrix
-    diagonal = _is_fock_diagonal(m)
-    if diagonal:  # |m - m^dag| is 2 |Im m[n, n]|
-        defect = 2.0 * float(np.abs(np.diagonal(m).imag).max())
-    else:  # one adjoint copy for the defect and the Hermitian part
-        adjoint = m.conj().T
-        defect = float(np.abs(m - adjoint).max())
-    if defect > 1e-10:
-        raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
-    if diagonal:
-        w = np.sort(np.diagonal(m).real)[::-1]
-    else:
-        w = np.linalg.eigvalsh(0.5 * (m + adjoint))[::-1]
-    if w[-1] < -clamp:
-        raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -{clamp:.1e}")
-    return np.clip(w, 0.0, None)
-
-
-def _diagonal_widths(m: np.ndarray, space: FockSpace) -> tuple[int, ...]:
-    """Per mode j, one past the largest |m_j - n_j| of a nonzero entry
-    m[(m_1, m_2), (n_1, n_2)] of a contiguous complex128 operator: all
-    widths are 1 exactly when the operator is Fock-diagonal.  By gauge
-    covariance a channel output of an input that occupies s levels of a
-    mode has width at most s there.  One scan of the nonzero mask, reduced
-    over the other mode's axes leading axis first (the fast order); the
-    last axis holds (real, imaginary) pairs."""
+def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(boxes, widths) of a contiguous complex128 operator, from one scan of
+    its nonzero mask.  Per mode j, over the nonzero entries
+    m[(m_1, m_2), (n_1, n_2)]: the box is one past the highest level m_j or
+    n_j that any of them touches, so every entry outside the box is zero,
+    and the width is one past the largest |m_j - n_j|.  The operator is
+    Fock-diagonal exactly when every width is 1; the zero operator has box
+    and width 1.  By gauge covariance a channel output of an input that
+    occupies s levels of a mode has width at most s there, and box s behind
+    an attenuator alone.  Each entry's (real, imaginary) pair of mask bytes
+    is read as one uint16, and the mask is reduced over the other mode's
+    axes leading axis first (the fast order)."""
     d, modes = space.cutoff, space.modes
-    nonzero = (m.view(np.float64) != 0).reshape((d,) * (2 * modes - 1) + (2 * d,))
-    widths = []
+    nonzero = ((m.view(np.float64) != 0).view(np.uint16) != 0).reshape((d,) * (2 * modes))
+    boxes, widths = [], []
     for j in range(modes):
         plane = nonzero
         for removed, axis in enumerate(a for a in range(2 * modes) if a % modes != j):
             plane = plane.any(axis=axis - removed)
-        rows, cols = np.nonzero(plane.reshape(d, d, -1).any(axis=2))
+        rows, cols = np.nonzero(plane)
+        boxes.append(int(max(rows.max(), cols.max())) + 1 if rows.size else 1)
         widths.append(int(np.abs(rows - cols).max()) + 1 if rows.size else 1)
-    return tuple(widths)
+    return tuple(boxes), tuple(widths)
+
+
+def _box_spectrum(m: np.ndarray, space: FockSpace, boxes: tuple[int, ...],
+                  widths: tuple[int, ...], clamp: float) -> np.ndarray:
+    """:func:`spectrum` of m, given its :func:`_structure`."""
+    d, modes = space.cutoff, space.modes
+    box = tuple(slice(b) for b in boxes)
+    diagonal = max(widths) == 1
+    block = (np.diagonal(m).reshape((d,) * modes)[box].ravel() if diagonal
+             else m.reshape((d,) * (2 * modes))[box * 2].reshape(np.prod(boxes), -1))
+    # every entry outside the box is zero, so these checks cover the operator
+    if not np.isfinite(block).all():
+        raise InvalidState("operator has a non-finite entry")
+    if diagonal:  # |m - m^dag| is 2 |Im m[n, n]|
+        defect = 2.0 * float(np.abs(block.imag).max())
+        w = np.sort(block.real)[::-1]
+    else:  # one adjoint copy for the defect and the Hermitian part
+        adjoint = block.conj().T
+        defect = float(np.abs(block - adjoint).max())
+        w = np.linalg.eigvalsh(0.5 * (block + adjoint))[::-1]
+    if not defect <= 1e-10:
+        raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
+    if not w[-1] >= -clamp:  # before padding, which puts zeros last
+        raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -{clamp:.1e}")
+    if len(w) < len(m):
+        w = np.concatenate([w, np.zeros(len(m) - len(w))])
+    return np.clip(w, 0.0, None)
+
+
+def spectrum(rho: FockOperator, clamp: float = 1e-8) -> np.ndarray:
+    """Real eigenvalues, descending; negatives above -clamp are set to 0.
+
+    Only the operator's occupied box (:func:`_structure`) is read: it is
+    checked for finite entries and Hermiticity there, and its block alone is
+    eigensolved, the rest of the spectrum being zeros.  The two-mode output
+    of a support-s input behind an attenuator on one mode is an s d block,
+    not d^2.  A Fock-diagonal operator's spectrum is read off its diagonal.
+    Raises InvalidState on a non-finite entry or an eigenvalue below -clamp,
+    NotHermitian on a Hermiticity defect above 1e-10."""
+    m = np.ascontiguousarray(rho.matrix, dtype=np.complex128)
+    return _box_spectrum(m, rho.space, *_structure(m, rho.space), clamp)
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -397,30 +418,29 @@ def _banded_square(m: np.ndarray, widths: tuple[int, ...], d: int):
 def trace_power(rho: FockOperator, p: float) -> float:
     """Tr rho^p of a state.  Orders 2, 3 and 4 of an operator with
     off-diagonal entries come from its occupied photon-number diagonals
-    (:func:`_diagonal_widths`): sum |rho|^2, Re sum((rho @ rho) * conj(rho))
+    (:func:`_structure`): sum |rho|^2, Re sum((rho @ rho) * conj(rho))
     and sum |rho @ rho|^2, which take the operator to be Hermitian, as every
     channel output is.  At orders 3 and 4 the square is formed diagonal by
     diagonal (:func:`_banded_square`; the third order reads it only on
     rho's diagonals), or as one dense product when the bands are so wide
     that this is cheaper, at full support for one.  Any other order, and
     any Fock-diagonal operator, sums :func:`spectrum` to the power p, with
-    its Hermiticity and negativity checks."""
-    if p in (2, 3, 4):
-        m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
-        widths = _diagonal_widths(m, rho.space)
-        if max(widths) > 1:
-            if p == 2:
-                return _real_inner(m, m)
-            offsets = np.prod([2 * w - 1 for w in widths])
-            padded = np.prod([d + 2 * w - 2 for w in widths])
-            if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
-                Y, S = _banded_square(m, widths, d)
-                if p == 4:
-                    return _real_inner(S, S)
-                return _real_inner(S[tuple(slice(w - 1, 3 * w - 2) for w in widths)], Y)
-            square = m @ m
-            return _real_inner(square, m if p == 3 else square)
-    return float(np.sum(spectrum(rho) ** p))
+    its finiteness, Hermiticity and negativity checks."""
+    m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
+    boxes, widths = _structure(m, rho.space)
+    if p in (2, 3, 4) and max(widths) > 1:
+        if p == 2:
+            return _real_inner(m, m)
+        offsets = np.prod([2 * w - 1 for w in widths])
+        padded = np.prod([d + 2 * w - 2 for w in widths])
+        if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
+            Y, S = _banded_square(m, widths, d)
+            if p == 4:
+                return _real_inner(S, S)
+            return _real_inner(S[tuple(slice(w - 1, 3 * w - 2) for w in widths)], Y)
+        square = m @ m
+        return _real_inner(square, m if p == 3 else square)
+    return float(np.sum(_box_spectrum(m, rho.space, boxes, widths, 1e-8) ** p))
 
 
 def transpose_state(rho: FockOperator) -> FockOperator:
@@ -635,20 +655,15 @@ def _occupied_block(state: PureState | FockOperator) -> np.ndarray:
     outside the box is zero.  A pure state's box is read off its amplitudes
     and only the box of its density is formed."""
     d, modes = state.space.cutoff, state.space.modes
-    pure = isinstance(state, PureState)
-    x = state.amplitudes if pure else state.matrix
-    x = x.reshape((d,) * (modes if pure else 2 * modes))
+    if isinstance(state, FockOperator):
+        m = np.ascontiguousarray(state.matrix, dtype=np.complex128)
+        boxes, _ = _structure(m, state.space)
+        return m.reshape((d,) * (2 * modes))[tuple(slice(b) for b in boxes) * 2]
+    x = state.amplitudes.reshape((d,) * modes)
     nonzero = x != 0
-
-    def occupied(axis: int) -> np.ndarray:
-        return nonzero.any(axis=tuple(a for a in range(x.ndim) if a != axis))
-
-    box = tuple(slice(_extent(occupied(j) if pure else occupied(j) | occupied(modes + j)))
-                for j in range(modes))
-    if pure:
-        sub = x[box]
-        return np.multiply.outer(sub, sub.conj())
-    return x[box * 2]
+    sub = x[tuple(slice(_extent(nonzero.any(axis=tuple(a for a in range(modes) if a != j))))
+                  for j in range(modes))]
+    return np.multiply.outer(sub, sub.conj())
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)

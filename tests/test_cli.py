@@ -263,6 +263,30 @@ class TestSweepCommands:
         assert report["config"]["threads"] == 3
 
 
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys, tmp_path, files):
+        monkeypatch.delenv("GAUSSLAB_THREADS", raising=False)
+        cli._build_parser.cache_clear()
+        try:
+            assert run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
+                                          "--seed", "1"])[1]["config"]["threads"] == 1
+            # the environment is read when a command runs, not when the parser is built
+            monkeypatch.setenv("GAUSSLAB_THREADS", "3")
+            assert run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
+                                          "--seed", "1"])[1]["config"]["threads"] == 3
+            assert run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
+                                          "--seed", "1", "--threads", "2"]
+                               )[1]["config"]["threads"] == 2
+            capsys.readouterr()
+            assert cli.run(["majorize", files["att07"], "--seed", "1"]) == 1
+            assert capsys.readouterr().out == ""  # a parse error writes no report
+            assert cli.run(["--help"]) == 0
+            info = cli._build_parser.cache_info()
+            assert (info.misses, info.hits) == (1, 4)  # five runs, one build
+        finally:
+            cli._build_parser.cache_clear()
+
+
 class TestArgumentBounds:
     """Out-of-range sizes are usage errors (exit 1) and write no report."""
 

@@ -498,6 +498,126 @@ class TestSpectrum:
             fock.spectrum(fock.FockOperator(space40, mat))
 
 
+def _hermitian_with_spectrum(w, seed=0):
+    """U diag(w) U^dag for a random unitary U: a dense Hermitian matrix."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((len(w),) * 2)
+                        + 1j * rng.standard_normal((len(w),) * 2))
+    return (q * np.asarray(w)) @ q.conj().T
+
+
+class TestStructureScan:
+    """fock._structure: per mode, the occupied box and the diagonal width."""
+
+    @staticmethod
+    def scan(ch, space, state):
+        return fock._structure(fock.realize_channel(ch, space).apply(state).matrix, space)
+
+    def test_attenuator_mode_keeps_its_box(self):
+        space = fock.FockSpace(2, 20)
+        pair = tensor_channel(attenuator_channel(0.6), attenuator_channel(0.7))
+        assert self.scan(pair, space, fock.random_pure_state(1, space, support=3)) == (
+            (3, 3), (3, 3))
+        one = fock.FockSpace(1, 40)
+        assert self.scan(attenuator_channel(0.6), one,
+                         fock.random_pure_state(2, one, support=4)) == ((4,), (4,))
+
+    def test_amplifier_mode_fills_the_cutoff(self):
+        space = fock.FockSpace(2, 20)
+        for ch, boxes in ((tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)),
+                           (3, 20)),
+                          (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.6)),
+                           (20, 3))):
+            assert self.scan(ch, space, fock.random_pure_state(1, space, support=3)) == (
+                boxes, (3, 3))
+
+    @pytest.mark.parametrize("space", [fock.FockSpace(1, 12), fock.FockSpace(2, 6)])
+    def test_zero_operator(self, space):
+        zero = np.zeros((space.dim,) * 2, dtype=complex)
+        assert fock._structure(zero, space) == ((1,) * space.modes, (1,) * space.modes)
+
+    def test_column_index_widens_the_box(self, space40):
+        # rows occupy the first 3 levels, the entry m[0, 9] column 9 alone
+        m = np.diag(np.r_[0.5, 0.3, 0.2, np.zeros(37)]).astype(complex)
+        m[0, 9] = 1e-3
+        assert fock._structure(m, space40) == ((10,), (10,))
+        with pytest.raises(NotHermitian):
+            fock.spectrum(fock.FockOperator(space40, m))
+
+    def test_two_mode_column_index_widens_the_box(self):
+        space = fock.FockSpace(2, 10)
+        m = np.zeros((100, 100), dtype=complex)
+        m[:4, :4] = _hermitian_with_spectrum([0.4, 0.3, 0.2, 0.1])  # levels (0, 0..3)
+        m[1, 7 * 10 + 2] = 1e-3  # (0, 1) -> (7, 2); its adjoint entry is missing
+        assert fock._structure(m, space) == ((8, 4), (8, 4))
+        with pytest.raises(NotHermitian):
+            fock.spectrum(fock.FockOperator(space, m))
+
+
+class TestBoxSpectrum:
+    """spectrum eigensolves the occupied box only and pads with zeros."""
+
+    @pytest.mark.parametrize("ch,space,state", [
+        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), fock.FockSpace(2, 20),
+         lambda s: fock.random_pure_state(1, s, support=3)),
+        (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.6)), fock.FockSpace(2, 20),
+         lambda s: fock.random_pure_state(1, s, support=3)),
+        (attenuator_channel(0.6), fock.FockSpace(1, 40),
+         lambda s: fock.random_pure_state(2, s, support=4)),
+        (tensor_channel(amplifier_channel(np.sqrt(2)), amplifier_channel(np.sqrt(2))),
+         fock.FockSpace(2, 20), lambda s: fock.random_pure_state(3, s, support=3)),
+    ], ids=["att0.6-amp1.2", "amp1.2-att0.6", "one-mode-att-support4", "full-box"])
+    def test_matches_dense_eigensolve(self, ch, space, state):
+        out = fock.realize_channel(ch, space).apply(state(space))
+        reference = np.clip(np.linalg.eigvalsh(out.matrix)[::-1], 0.0, None)
+        lam = fock.spectrum(out)
+        assert lam.shape == reference.shape
+        assert np.all(np.diff(lam) <= 0)
+        assert np.abs(lam - reference).max() <= 1e-15
+
+    def test_eigensolves_the_box_block(self, monkeypatch):
+        space = fock.FockSpace(2, 20)
+        out = fock.realize_channel(
+            tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), space
+        ).apply(fock.random_pure_state(1, space, support=3))
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        assert fock.spectrum(out).shape == (400,)
+        assert shapes == [(60, 60)]
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_eigenvalue_below_clamp_inside_the_box_is_invalid(self, space40, padded):
+        m = np.zeros((40, 40), dtype=complex)
+        size = 4 if padded else 40
+        w = np.r_[0.6, 0.4 + 2e-8, np.zeros(size - 3), -2e-8]
+        m[:size, :size] = _hermitian_with_spectrum(w)
+        assert fock._structure(m, space40)[0] == (size,)
+        with pytest.raises(InvalidState):
+            fock.spectrum(fock.FockOperator(space40, m))
+
+    def test_negatives_above_clamp_clip_to_a_descending_spectrum(self, space40):
+        m = np.zeros((40, 40), dtype=complex)
+        m[:4, :4] = _hermitian_with_spectrum([0.6, 0.4 + 5e-9, 0.0, -5e-9])
+        lam = fock.spectrum(fock.FockOperator(space40, m))
+        assert np.all(np.diff(lam) <= 0) and lam.min() == 0.0
+        assert lam[:2] == pytest.approx([0.6, 0.4], abs=1e-8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.1, np.nan)])
+    def test_non_finite_diagonal_entry_is_invalid(self, space40, value):
+        m = np.diag(np.full(40, 1 / 40)).astype(complex)
+        m[3, 3] = value
+        with pytest.raises(InvalidState):
+            fock.spectrum(fock.FockOperator(space40, m))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_off_the_diagonal_is_invalid(self, space40, value):
+        m = np.zeros((40, 40), dtype=complex)
+        m[:4, :4] = _hermitian_with_spectrum([0.4, 0.3, 0.2, 0.1])
+        m[1, 2] = m[2, 1] = value
+        with pytest.raises(InvalidState):
+            fock.spectrum(fock.FockOperator(space40, m))
+
+
 class TestTracePower:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5])
     @pytest.mark.parametrize("input_kind", ["sample", "vacuum"])
@@ -527,21 +647,22 @@ class TestTracePower:
         one = fock.FockSpace(1, space.cutoff)
         return fock.tensor_pure(fock.vacuum_state(one), fock.random_pure_state(3, one, support=3))
 
-    @pytest.mark.parametrize("ch,space,state,widths,banded", [
+    @pytest.mark.parametrize("ch,space,state,boxes,widths,banded", [
         (SQRT2_PAIR, fock.FockSpace(2, 30), lambda s: fock.random_pure_state(1, s, support=3),
-         (3, 3), True),
+         (30, 30), (3, 3), True),
         (tensor_channel(amplifier_channel(1.5), attenuator_channel(0.7)), fock.FockSpace(2, 40),
-         lambda s: fock.random_pure_state(2, s, support=3), (3, 3), True),
-        (SQRT2_PAIR, fock.FockSpace(2, 30), vacuum_times_haar, (1, 3), True),
+         lambda s: fock.random_pure_state(2, s, support=3), (40, 3), (3, 3), True),
+        (SQRT2_PAIR, fock.FockSpace(2, 30), vacuum_times_haar, (30, 30), (1, 3), True),
         (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.7)), fock.FockSpace(2, 8),
-         lambda s: fock.random_pure_state(4, s), (8, 8), False),
+         lambda s: fock.random_pure_state(4, s), (8, 8), (8, 8), False),
         (amplifier_channel(1.5), fock.FockSpace(1, 40),
-         lambda s: fock.coherent_state(1.0 + 0.5j, s), (40,), False),
+         lambda s: fock.coherent_state(1.0 + 0.5j, s), (40,), (40,), False),
     ], ids=["sqrt2-pair-d30", "amp1.5-att0.7-d40", "vacuum-haar3", "full-support-d8",
             "one-mode-coherent"])
-    def test_diagonals_match_dense_product(self, monkeypatch, ch, space, state, widths, banded):
+    def test_diagonals_match_dense_product(self, monkeypatch, ch, space, state, boxes, widths,
+                                           banded):
         out = fock.realize_channel(ch, space).apply(state(space))
-        assert fock._diagonal_widths(out.matrix, space) == widths
+        assert fock._structure(out.matrix, space) == (boxes, widths)
         calls = []
         square = fock._banded_square
         monkeypatch.setattr(fock, "_banded_square", lambda *a: calls.append(a) or square(*a))
