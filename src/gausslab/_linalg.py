@@ -1,6 +1,9 @@
-"""Small shared linear-algebra helpers."""
+"""Small shared numerical helpers, NumPy only."""
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -16,13 +19,9 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.abs(m - m.conj().T).max())
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     """Check Hermiticity entrywise and return the exactly Hermitian part."""
-    defect = hermiticity_defect(m)
+    defect = float(np.abs(m - m.conj().T).max())
     if defect > tol:
         raise NotHermitian(f"{name} is not Hermitian: max |m - m*| = {defect:.3e} > {tol:.1e}")
     return 0.5 * (m + m.conj().T)
@@ -53,3 +52,47 @@ def spectral_abs(m: np.ndarray) -> np.ndarray:
 
 def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
+
+
+def unitary_expm(g: np.ndarray) -> np.ndarray:
+    """exp(g) for anti-Hermitian g, from the eigh of the Hermitian -i g."""
+    w, v = np.linalg.eigh(-1j * g)
+    return (v * np.exp(1j * w)) @ v.conj().T
+
+
+@functools.lru_cache(maxsize=4)
+def _log_factorials(size: int) -> np.ndarray:
+    return np.array([math.lgamma(k + 1.0) for k in range(size)])
+
+
+def log_factorial(n) -> np.ndarray:
+    """ln n! at integer-valued n >= 0, from a cached table of math.lgamma
+    (a running sum of logs is 5-8x less accurate by n = 400), sized to a
+    power of two above max n and at least 1024."""
+    n = np.asarray(n).astype(np.intp)
+    return _log_factorials(1 << max(int(n.max(initial=0)).bit_length(), 10))[n]
+
+
+def xlogy(x, y, log=np.log) -> np.ndarray:
+    """x log(y), and 0 where x = 0 whatever y is; log=np.log1p gives x ln(1 + y)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(np.equal(x, 0), 0.0, x * log(y))
+
+
+def poisson_cdf(x: float, size: int) -> np.ndarray:
+    """P(N <= n) for N ~ Poisson(x) and n < size, the regularized incomplete
+    gamma function Q(n + 1, x), as a running log-sum of the Poisson terms."""
+    k = np.arange(size)
+    return np.exp(np.logaddexp.accumulate(xlogy(k, x) - x - log_factorial(k)))
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a fast real-FFT length."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best

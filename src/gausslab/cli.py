@@ -69,11 +69,12 @@ class RunConfig:
 
 
 def _threads_default() -> int:
+    """GAUSSLAB_THREADS under --threads' rule; unset or empty means 1."""
     env = os.environ.get("GAUSSLAB_THREADS", "")
     try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+        return _int_at_least(1)(env) if env else 1
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"GAUSSLAB_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 def _emit(report: dict, out_path: str | None) -> None:
@@ -486,9 +487,9 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if getattr(args, "threads", 1) is None:
-        args.threads = _threads_default()
     try:
+        if getattr(args, "threads", 1) is None:
+            args.threads = _threads_default()
         report, passed, config = _HANDLERS[args.command](args)
     except (FileFormatError, UsageError, DimensionTooLarge, FileNotFoundError,
             IsADirectoryError) as exc:

@@ -43,10 +43,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gammaln, xlogy
 
+from ._linalg import log_factorial, unitary_expm, xlogy
 from .channels import GaugeCovariantChannel
 from .errors import (
     AmplitudeTooLarge,
@@ -186,7 +185,7 @@ def coherent_state(zeta: complex, space: FockSpace) -> PureState:
     n = np.arange(space.cutoff)
     if zeta == 0:
         return vacuum_state(space)
-    logmag = -0.5 * abs(zeta) ** 2 + n * np.log(abs(zeta)) - 0.5 * gammaln(n + 1.0)
+    logmag = -0.5 * abs(zeta) ** 2 + n * np.log(abs(zeta)) - 0.5 * log_factorial(n)
     amp = np.exp(logmag) * np.exp(1j * n * np.angle(zeta))
     norm = np.linalg.norm(amp)
     if abs(norm - 1.0) > 1e-8:
@@ -201,13 +200,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     return a
 
 
-def _total_occupation(space: FockSpace) -> np.ndarray:
-    n = np.arange(space.cutoff)
-    if space.modes == 1:
-        return n.astype(float)
-    return (n[:, None] + n[None, :]).ravel().astype(float)
-
-
 def displacement_matrix(z: complex, space: FockSpace) -> FockOperator:
     """exp(z a^dag - conj(z) a), truncated at the cutoff (one mode)."""
     if space.modes != 1:
@@ -218,13 +210,14 @@ def displacement_matrix(z: complex, space: FockSpace) -> FockOperator:
             f"|z|^2 = {abs(z)**2:.3f} exceeds cutoff/4 = {space.cutoff / 4.0}"
         )
     a = annihilation(space.cutoff)
-    return FockOperator(space=space, matrix=sla.expm(z * a.conj().T - np.conj(z) * a))
+    return FockOperator(space=space, matrix=unitary_expm(z * a.conj().T - np.conj(z) * a))
 
 
 def gauge_rotation(phi: float, space: FockSpace) -> FockOperator:
     """Diagonal e^{i n phi} in the total photon number n."""
-    return FockOperator(space=space,
-                        matrix=np.diag(np.exp(1j * phi * _total_occupation(space))))
+    n = np.arange(space.cutoff, dtype=float)
+    total = n if space.modes == 1 else np.add.outer(n, n).ravel()
+    return FockOperator(space=space, matrix=np.diag(np.exp(1j * phi * total)))
 
 
 def thermal_state(n_mean: float, space: FockSpace) -> FockOperator:
@@ -416,31 +409,36 @@ def _banded_square(m: np.ndarray, widths: tuple[int, ...], d: int):
 
 
 def trace_power(rho: FockOperator, p: float) -> float:
-    """Tr rho^p of a state.  Orders 2, 3 and 4 of an operator with
+    """Tr rho^p of a state.  Order 2 is sum |rho|^2 once the diagonal has
+    passed :func:`spectrum`'s checks.  Orders 3 and 4 of an operator with
     off-diagonal entries come from its occupied photon-number diagonals
-    (:func:`_structure`): sum |rho|^2, Re sum((rho @ rho) * conj(rho))
-    and sum |rho @ rho|^2, which take the operator to be Hermitian, as every
-    channel output is.  At orders 3 and 4 the square is formed diagonal by
-    diagonal (:func:`_banded_square`; the third order reads it only on
-    rho's diagonals), or as one dense product when the bands are so wide
-    that this is cheaper, at full support for one.  Any other order, and
-    any Fock-diagonal operator, sums :func:`spectrum` to the power p, with
-    its finiteness, Hermiticity and negativity checks."""
+    (:func:`_structure`): Re sum((rho @ rho) * conj(rho)) and sum |rho @ rho|^2,
+    with the square formed diagonal by diagonal (:func:`_banded_square`) or,
+    where that is dearer, as one dense product.  These forms take the operator
+    to be Hermitian, as every channel output is.  Any other order, and any
+    Fock-diagonal operator, sums :func:`spectrum` to the power p, with its
+    checks.  Raises InvalidState when the result is not finite."""
     m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
-    boxes, widths = _structure(m, rho.space)
-    if p in (2, 3, 4) and max(widths) > 1:
-        if p == 2:
-            return _real_inner(m, m)
-        offsets = np.prod([2 * w - 1 for w in widths])
-        padded = np.prod([d + 2 * w - 2 for w in widths])
-        if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
-            Y, S = _banded_square(m, widths, d)
-            if p == 4:
-                return _real_inner(S, S)
-            return _real_inner(S[tuple(slice(w - 1, 3 * w - 2) for w in widths)], Y)
-        square = m @ m
-        return _real_inner(square, m if p == 3 else square)
-    return float(np.sum(_box_spectrum(m, rho.space, boxes, widths, 1e-8) ** p))
+    if p == 2:  # the diagonal's checks only: no scan, no eigensolve
+        _box_spectrum(m, rho.space, (d,) * rho.space.modes, (1,) * rho.space.modes, 1e-8)
+        value = _real_inner(m, m)
+    else:
+        boxes, widths = _structure(m, rho.space)
+        if p in (3, 4) and max(widths) > 1:
+            offsets = np.prod([2 * w - 1 for w in widths])
+            padded = np.prod([d + 2 * w - 2 for w in widths])
+            if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
+                Y, S = _banded_square(m, widths, d)
+                value = (_real_inner(S, S) if p == 4 else
+                         _real_inner(S[tuple(slice(w - 1, 3 * w - 2) for w in widths)], Y))
+            else:
+                square = m @ m
+                value = _real_inner(square, m if p == 3 else square)
+        else:
+            value = float(np.sum(_box_spectrum(m, rho.space, boxes, widths, 1e-8) ** p))
+    if not np.isfinite(value):
+        raise InvalidState(f"Tr rho^{p:g} is not finite: {value}")
+    return value
 
 
 def transpose_state(rho: FockOperator) -> FockOperator:
@@ -467,11 +465,11 @@ def _kraus_table(kind: str, parameter: float, labels: int, d: int) -> np.ndarray
     n = np.arange(d, dtype=float)[None, :]
     if kind == "attenuator":
         m = np.maximum(n - l, 0.0)  # output level; l > n is masked below
-        log_amp = (0.5 * (gammaln(n + 1.0) - gammaln(l + 1.0) - gammaln(m + 1.0))
+        log_amp = (0.5 * (log_factorial(n) - log_factorial(l) - log_factorial(m))
                    + xlogy(m, parameter) + 0.5 * xlogy(l, (1.0 - parameter) * (1.0 + parameter)))
         return np.where(l <= n, (-1.0) ** l * np.exp(log_amp), 0.0)
     log_kappa = np.log(parameter)
-    log_amp = (0.5 * (gammaln(n + l + 1.0) - gammaln(l + 1.0) - gammaln(n + 1.0))
+    log_amp = (0.5 * (log_factorial(n + l) - log_factorial(l) - log_factorial(n))
                - (n + 1.0) * log_kappa + 0.5 * xlogy(l, -np.expm1(-2.0 * log_kappa)))
     return np.exp(log_amp)
 
@@ -597,18 +595,6 @@ def amplifier_dilation_marginals(kappa: float, psi: PureState) -> tuple[FockOper
             FockOperator(space=big, matrix=anc_out))
 
 
-def _skew_expm(sub: np.ndarray) -> np.ndarray:
-    """exp(B) for real B with B[j+1, j] = sub[j], B[j, j+1] = -sub[j], through
-    eigh of the phase-rotated (real symmetric) tridiagonal matrix."""
-    J = len(sub) + 1
-    if J == 1:
-        return np.eye(1, dtype=np.complex128)
-    lam, w = sla.eigh_tridiagonal(np.zeros(J), -np.asarray(sub, dtype=float))
-    phases = (1j) ** np.arange(J)
-    full = (w * np.exp(-1j * lam)) @ w.T
-    return np.conj(phases)[:, None] * full * phases[None, :]
-
-
 def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
     """Two-mode beamsplitter exp(theta (a^dag b - a b^dag)) on the truncated
     space; exact on total-photon sectors that fit under the cutoff."""
@@ -621,7 +607,7 @@ def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
         jmax = min(total, d - 1)
         js = np.arange(jmin, jmax + 1)
         sub = np.array([-theta * np.sqrt((j + 1.0) * (total - j)) for j in js[:-1]])
-        block = _skew_expm(sub)
+        block = unitary_expm(np.diag(sub, -1) - np.diag(sub, 1))
         idx = (total - js) * d + js
         U[np.ix_(idx, idx)] = block
     return FockOperator(space=space, matrix=U)

@@ -26,10 +26,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.special import gammaincc, gammaln
 
 from . import fock
+from ._linalg import log_factorial, next_fast_len, poisson_cdf
 from .channels import GaugeCovariantChannel, build_channel
 from .errors import (
     DimensionMismatch,
@@ -136,7 +135,7 @@ def _coherent_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
     nonzero = r > 0
     logr = np.log(np.where(nonzero, r, 1.0))
     half_r2 = -0.5 * r ** 2
-    half_log_factorial = 0.5 * gammaln(np.arange(dim) + 1.0)
+    half_log_factorial = 0.5 * log_factorial(np.arange(dim))
     u = z_flat / np.where(nonzero, r, 1.0)
     cols = np.empty((dim, z_flat.size), dtype=np.complex128)
     phase = np.ones(z_flat.size, dtype=np.complex128)
@@ -218,8 +217,7 @@ def estimate_tail_mass(state, ref, grid: PhaseSpaceGrid) -> float:
     """
     ref = _as_reference(ref)
     prob = _occupation_probabilities(state)
-    n = np.arange(prob.size, dtype=float)
-    tails = gammaincc(n + 1.0, grid.radius ** 2 / (ref.n_mean + 1.0))
+    tails = poisson_cdf(grid.radius ** 2 / (ref.n_mean + 1.0), prob.size)
     return float(np.sum(np.sqrt(prob * tails)) ** 2)
 
 
@@ -382,8 +380,8 @@ def smooth_field(p_in: np.ndarray, c: float, a0p: float,
     full linear convolution of the two grid-shaped fields, zero-padded to fast
     real-FFT lengths, cropped to its centred window of the grid's shape."""
     kernel = normal_density(_as_reference(a0p).a0 / c ** 2, grid).values
-    padded = [fft.next_fast_len(2 * n - 1, real=True) for n in p_in.shape]
-    conv = fft.irfft2(fft.rfft2(p_in, padded) * fft.rfft2(kernel, padded), padded)
+    padded = [next_fast_len(2 * n - 1) for n in p_in.shape]
+    conv = np.fft.irfft2(np.fft.rfft2(p_in, padded) * np.fft.rfft2(kernel, padded), padded)
     return conv[tuple(slice((n - 1) // 2, (n - 1) // 2 + n) for n in p_in.shape)] * grid.weight
 
 

@@ -25,9 +25,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import fock
+from ._linalg import xlogy
 from .channels import GaugeCovariantChannel, strictness_conditions
 from .errors import ConditionNotMet, TruncationLeakage
 from .states import output_purity, tensor_channel

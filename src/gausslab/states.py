@@ -13,9 +13,8 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlog1py
 
-from ._linalg import HERMITICITY_TOL, as_complex_matrix, require_hermitian
+from ._linalg import HERMITICITY_TOL, as_complex_matrix, require_hermitian, xlogy
 from .channels import GaugeCovariantChannel, build_channel
 from .errors import DimensionMismatch, InvalidOrder, InvalidState
 
@@ -103,7 +102,7 @@ def _g(n: np.ndarray) -> np.ndarray:
     second form does not cancel at large N."""
     n = np.asarray(n, dtype=float)
     with np.errstate(divide="ignore"):
-        return np.log1p(n) + xlog1py(n, 1.0 / n)
+        return np.log1p(n) + xlogy(n, 1.0 / n, np.log1p)
 
 
 def _log_power_gap(n: np.ndarray, p: float) -> np.ndarray:

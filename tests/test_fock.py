@@ -691,6 +691,16 @@ class TestTracePower:
         with pytest.raises(InvalidState):
             fock.trace_power(fock.FockOperator(space40, negative), p)
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 2.5])
+    def test_non_finite_operator_is_invalid(self, space40, p):
+        # a Hermitian 3 x 3 block with a NaN coherence: order 2 reads no mask,
+        # orders 3 and 4 take the banded square, 2.5 the spectrum
+        m = np.zeros((40, 40), dtype=complex)
+        m[:3, :3] = [[0.5, 0.1, 0.0], [0.1, 0.3, 0.05j], [0.0, -0.05j, 0.2]]
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(InvalidState):
+            fock.trace_power(fock.FockOperator(space40, m), p)
+
     def test_non_integer_order_rejects_non_hermitian(self, space40):
         skew = np.diag(np.full(40, 1 / 40)).astype(complex)
         skew[0, 1] = 1e-6

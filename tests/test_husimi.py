@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import digamma, gammaln
 
 from gausslab import fock
@@ -310,6 +311,19 @@ class TestUpperSymbol:
         rep = hu.convolution_check(hu.berezin_lieb_fields(probe_builder(space), c, 0.5, 0.5,
                                                           grid))
         assert rep.sup_deviation <= 2e-3
+
+
+class TestSmoothField:
+    @pytest.mark.parametrize("c,a0p", [(1.5, 0.5), (2.0, 0.5), (3.0, 1.0)])
+    def test_matches_scipy_fft_reference(self, grid, space, c, a0p):
+        p_in = hu.husimi_density(fock.coherent_state(0.7, space), 0.5, grid).values
+        kernel = hu.normal_density(a0p / c ** 2, grid).values
+        padded = [scipy.fft.next_fast_len(2 * n - 1, real=True) for n in p_in.shape]
+        conv = scipy.fft.irfft2(scipy.fft.rfft2(p_in, padded) * scipy.fft.rfft2(kernel, padded),
+                                padded)
+        window = tuple(slice((n - 1) // 2, (n - 1) // 2 + n) for n in p_in.shape)
+        reference = conv[window] * grid.weight
+        assert np.abs(hu.smooth_field(p_in, c, a0p, grid) - reference).max() < 1e-12
 
 
 class TestBerezinLieb:
