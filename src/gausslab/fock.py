@@ -17,18 +17,18 @@ cutoff, where they are cropped.  The complementary output and the dilation
 marginals read the same amplitudes past the cutoff.
 
 Gauge covariance organizes the channel layer.  Each Kraus operator of a
-quantum-limited stage is one band, ``A_l |n> = c_l[n] |n -/+ l>``, stored as
-(shift, coefficient vector).  A gauge-covariant channel maps each diagonal
-``rho[n, n+k]`` into the same output diagonal, so a one-mode pipeline (gauge
-phase, attenuator, amplifier) acts diagonal by diagonal: the phase
-multiplies diagonal k by ``e^{-i phase k}`` and each stage multiplies it by
-a matrix read off its band sum ``G = sum_l A_l``, per mode.  An input
-occupying the first s levels of a mode has nonzero diagonals only for
+quantum-limited stage is one band, ``A_l |n> = c_l[n] |n -/+ l>``, and the
+bands do not overlap, so a stage is stored as its band sum
+``G = sum_l A_l``: A_l is the diagonal -/+l of G.  A gauge-covariant channel
+maps each diagonal ``rho[n, n+k]`` into the same output diagonal, so a
+channel given per mode as a gauge phase and its stages (attenuator, then
+amplifier) acts diagonal by diagonal: the phase multiplies diagonal k by
+``e^{-i phase k}`` and each stage multiplies it by a matrix read off G.  An
+input occupying the first s levels of a mode has nonzero diagonals only for
 |k| < s, so only those are multiplied, by the first s columns of the stage
-matrices.  Kraus bands, with their band sums, sit in an LRU cache.  The
-output keeps that structure: it is nonzero only on the diagonals
-|m_j - n_j| < s of each mode, and only in the first s levels of a mode
-behind an attenuator alone.  One scan of an operator's nonzero mask reads
+matrices.  Band sums sit in an LRU cache.  The output keeps that structure:
+it is nonzero only on the diagonals |m_j - n_j| < s of each mode, and only
+in the first s levels of a mode behind an attenuator alone.  One scan of an operator's nonzero mask reads
 both, per mode the occupied box and the diagonal width; applies crop a
 mixed input to its box, trace powers are formed on the occupied diagonals,
 and spectra eigensolve the box's block alone and pad it with zeros.
@@ -60,7 +60,7 @@ from .errors import (
 
 DIM_GUARD = 4096
 # entries per LRU cache; one verdict or criterion uses at most six.  A Kraus
-# entry holds at most 6 d^2 floats: its bands, its band sum and that tiled 2 x 2.
+# entry holds at most 5 d^2 floats: its band sum and that tiled 2 x 2.
 CACHE_SIZE = 8
 
 
@@ -101,33 +101,26 @@ class FockOperator:
 @dataclass(frozen=True)
 class OneModeChannelKraus:
     """Kraus list of a one-mode quantum-limited channel in the number basis,
-    as bands: A_l[n + shifts[l], n] = coeffs[l, n], zero elsewhere."""
+    as its band sum G = sum_l A_l (real, read-only).  The bands do not
+    overlap: A_l is the diagonal of G below (amplifier) or above
+    (attenuator) the main one by l, cropped to the cutoff.  ``parameter`` is
+    the attenuation k or the gain kappa."""
 
     kind: str  # "attenuator" | "amplifier"
     parameter: float
     space: FockSpace
-    shifts: np.ndarray  # (L,) int
-    coeffs: np.ndarray  # (L, cutoff) real
-
-    def band_sum(self) -> np.ndarray:
-        """sum_l A_l as a dense matrix; the bands do not overlap."""
-        label, n = np.nonzero(self.coeffs)  # bands vanish where they leave the cutoff
-        total = np.zeros((self.space.cutoff,) * 2, dtype=self.coeffs.dtype)
-        total[n + self.shifts[label], n] = self.coeffs[label, n]
-        return total
+    band_sum: np.ndarray  # (cutoff, cutoff)
 
     @functools.cached_property
-    def rolled_band_sum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(G, W), read-only: the band sum G and its rolled view
-        W[k, i, j] = G[(k+i) % d, (k+j) % d] of one copy of G tiled 2 x 2
-        (4 d^2 entries).  G is kept apart, contiguous: a full-support stage
-        multiplies W by it 1.3x (d = 40) to 1.6x (d = 128) faster than by
-        the strided corner of the tiled copy."""
+    def rolled_band_sum(self) -> np.ndarray:
+        """W, read-only: the rolled view W[k, i, j] = G[(k+i) % d, (k+j) % d]
+        of one copy of G tiled 2 x 2 (4 d^2 entries).  The kernel multiplies
+        W by G itself, contiguous: 1.3x (d = 40) to 1.6x (d = 128) faster
+        than by the strided corner of the tiled copy."""
         d = self.space.cutoff
-        G = _readonly(self.band_sum())
-        tiled = _readonly(np.tile(G, (2, 2)))
+        tiled = _readonly(np.tile(self.band_sum, (2, 2)))
         row, col = tiled.strides
-        return G, as_strided(tiled, (d, d, d), (row + col, row, col), writeable=False)
+        return as_strided(tiled, (d, d, d), (row + col, row, col), writeable=False)
 
 
 def pure_state(space: FockSpace, amplitudes, normalize: bool = False) -> PureState:
@@ -409,9 +402,10 @@ def _banded_square(m: np.ndarray, widths: tuple[int, ...], d: int):
 
 
 def trace_power(rho: FockOperator, p: float) -> float:
-    """Tr rho^p of a state.  Order 2 is sum |rho|^2 once the diagonal has
-    passed :func:`spectrum`'s checks.  Orders 3 and 4 of an operator with
-    off-diagonal entries come from its occupied photon-number diagonals
+    """Tr rho^p of a state.  Orders 2, 3 and 4 first pass :func:`spectrum`'s
+    checks on the diagonal alone: finite, real and not below -1e-8.  Order 2
+    is then sum |rho|^2.  Orders 3 and 4 of an operator with off-diagonal
+    entries come from its occupied photon-number diagonals
     (:func:`_structure`): Re sum((rho @ rho) * conj(rho)) and sum |rho @ rho|^2,
     with the square formed diagonal by diagonal (:func:`_banded_square`) or,
     where that is dearer, as one dense product.  These forms take the operator
@@ -419,8 +413,9 @@ def trace_power(rho: FockOperator, p: float) -> float:
     Fock-diagonal operator, sums :func:`spectrum` to the power p, with its
     checks.  Raises InvalidState when the result is not finite."""
     m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
-    if p == 2:  # the diagonal's checks only: no scan, no eigensolve
+    if p in (2, 3, 4):  # the diagonal's checks only: no scan, no eigensolve
         _box_spectrum(m, rho.space, (d,) * rho.space.modes, (1,) * rho.space.modes, 1e-8)
+    if p == 2:
         value = _real_inner(m, m)
     else:
         boxes, widths = _structure(m, rho.space)
@@ -476,15 +471,15 @@ def _kraus_table(kind: str, parameter: float, labels: int, d: int) -> np.ndarray
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _banded_kraus(kind: str, parameter: float, d: int) -> OneModeChannelKraus:
-    """Bands A_l[n -/+ l, n] = amp[l, n], cropped to the cutoff; labels whose
-    band is identically zero are dropped."""
-    sign = -1 if kind == "attenuator" else 1
-    coeffs = _kraus_table(kind, parameter, d, d)  # [l, n]
-    if sign > 0:
-        coeffs[np.add.outer(np.arange(d), np.arange(d)) >= d] = 0.0
-    keep = np.any(coeffs != 0, axis=1)
-    return OneModeChannelKraus(kind, parameter, FockSpace(1, d),
-                               _readonly(sign * np.arange(d)[keep]), _readonly(coeffs[keep]))
+    """The band sum G[n -/+ l, n] = amp[l, n] (:func:`_kraus_table`), cropped
+    to the cutoff: one scatter of the table's nonzero entries."""
+    amp = _kraus_table(kind, parameter, d, d)
+    l, n = np.nonzero(amp)  # the attenuator's table vanishes for l > n
+    rows = n - l if kind == "attenuator" else n + l
+    keep = rows < d
+    G = np.zeros((d, d))
+    G[rows[keep], n[keep]] = amp[l[keep], n[keep]]
+    return OneModeChannelKraus(kind, parameter, FockSpace(1, d), _readonly(G))
 
 
 def attenuator_kraus(k: float, space: FockSpace) -> OneModeChannelKraus:
@@ -521,32 +516,25 @@ def amplifier_kraus(kappa: float, space: FockSpace) -> OneModeChannelKraus:
 
 
 def kraus_completeness_defect(kraus: OneModeChannelKraus, n_max: int) -> float:
-    """max |sum_l A_l^dag A_l - I| over the occupation block n <= n_max; each
-    A_l^dag A_l is diagonal with entries |coeffs[l, n]|^2."""
-    weights = np.sum(np.abs(kraus.coeffs[:, : n_max + 1]) ** 2, axis=0)
+    """max |sum_l A_l^dag A_l - I| over the occupation block n <= n_max; the
+    bands do not overlap, so the sum is diagonal with the squared norms of
+    the band sum's columns."""
+    weights = np.sum(kraus.band_sum[:, : n_max + 1] ** 2, axis=0)
     return float(np.abs(weights - 1.0).max())
 
 
-def apply_kraus(kraus, rho: FockOperator) -> FockOperator:
-    """sum_l A_l rho A_l^dag.
+def apply_kraus(kraus, state: PureState | FockOperator) -> FockOperator:
+    """sum_l A_l rho A_l^dag, rho a pure state's density or an operator.
 
-    ``kraus`` is a OneModeChannelKraus (one-mode operator required) or, for
-    two-mode operators, a sequence of per-mode OneModeChannelKraus entries
-    (None leaves a mode untouched).  Trace deficit is reported via
-    :func:`leakage`.
+    ``kraus`` is a OneModeChannelKraus or a sequence of per-mode
+    OneModeChannelKraus entries, one per mode (None leaves a mode
+    untouched), applied as the :class:`FockChannel` with zero phases.
+    Trace deficit is reported via :func:`leakage`.
     """
-    space = rho.space
     if isinstance(kraus, OneModeChannelKraus):
-        if space.modes != 1:
-            raise DimensionMismatch("got a one-mode Kraus list for a multimode operator")
         kraus = (kraus,)
-    if space.modes != len(kraus):
-        raise DimensionMismatch(f"need {space.modes} per-mode channels, got {len(kraus)}")
-    if any(stage is not None and stage.space.cutoff != space.cutoff for stage in kraus):
-        raise DimensionMismatch("Kraus cutoff does not match the operator")
     stages = tuple(() if stage is None else (stage,) for stage in kraus)
-    return FockOperator(space=space, matrix=_apply_stages(
-        (0.0,) * space.modes, stages, _occupied_block(rho), space))
+    return FockChannel(state.space, (0.0,) * state.space.modes, stages).apply(state)
 
 
 def complementary_output(kappa: float, rho: FockOperator) -> FockOperator:
@@ -614,19 +602,8 @@ def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
 
 
 # ---------------------------------------------------------------------------
-# Realization of arbitrary gauge-covariant channels as Fock pipelines.
+# Realization of gauge-covariant channels as per-mode phases and stages.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModePipeline:
-    """One-mode factorization: gauge phase, quantum-limited attenuation k1,
-    quantum-limited gain kappa2 (channel = amplifier after attenuator after
-    rotation)."""
-
-    phase: float
-    attenuation: float
-    gain: float
-
 
 def _extent(occupied: np.ndarray) -> int:
     """One past the last occupied level of a 1-D mask, at least 1."""
@@ -697,7 +674,7 @@ def _apply_stages(phases, stages, block: np.ndarray, space: FockSpace) -> np.nda
             y *= np.exp(-1j * phase * (kcols - levels[:s]))[:, :, None]
         rows = s
         for stage in mode_stages:
-            G, W = stage.rolled_band_sum
+            G, W = stage.band_sum, stage.rolled_band_sum
             width, rows = rows, d if stage.kind == "amplifier" else rows
             M = W[ks, :rows, :width]
             M *= G[:rows, :width]
@@ -719,21 +696,30 @@ def _apply_stages(phases, stages, block: np.ndarray, space: FockSpace) -> np.nda
 
 @dataclass(frozen=True)
 class FockChannel:
-    """A channel materialized as per-mode pipelines: the gauge phase, and
-    the Kraus lists of the non-unit stages (attenuator, then amplifier)."""
+    """A channel materialized per mode as a gauge phase and a tuple of
+    quantum-limited stages (attenuator, then amplifier), unit stages left
+    out; each stage's ``parameter`` is its attenuation or gain.  A mode with
+    phase 0 and no stages is left alone."""
 
     space: FockSpace
-    pipelines: tuple[ModePipeline, ...]
+    phases: tuple[float, ...]
     stages: tuple[tuple[OneModeChannelKraus, ...], ...]
+
+    def __post_init__(self):
+        modes = self.space.modes
+        if len(self.phases) != modes or len(self.stages) != modes:
+            raise DimensionMismatch(f"need {modes} per-mode phases and stage tuples, got "
+                                    f"{len(self.phases)} and {len(self.stages)}")
+        if any(stage.space.cutoff != self.space.cutoff for mode in self.stages for stage in mode):
+            raise DimensionMismatch("Kraus cutoff does not match the space")
 
     def apply(self, state: PureState | FockOperator) -> FockOperator:
         """The output of a pure state (through its density, formed on the
         state's occupied box only) or an operator."""
         if state.space != self.space:
             raise DimensionMismatch("operator lives on a different space")
-        return FockOperator(space=self.space,
-                            matrix=_apply_stages([p.phase for p in self.pipelines], self.stages,
-                                                 _occupied_block(state), self.space))
+        return FockOperator(space=self.space, matrix=_apply_stages(
+            self.phases, self.stages, _occupied_block(state), self.space))
 
 
 def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
@@ -749,14 +735,13 @@ def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:
         if (np.abs(ch.K - np.diag(np.diagonal(ch.K))).max() > 1e-12
                 or np.abs(ch.mu - np.diag(np.diagonal(ch.mu))).max() > 1e-12):
             raise NotDiagonal("multimode realization needs diagonal K and mu")
-    pipelines, stages, one = [], [], FockSpace(1, space.cutoff)
+    phases, stages, one = [], [], FockSpace(1, space.cutoff)
     for j in range(ch.modes):
         kj = complex(ch.K[j, j])
         mj = float(np.real(ch.mu[j, j]))
         gain = max(float(np.sqrt(mj + (abs(kj) ** 2 + 1.0) / 2.0)), 1.0)
         k1 = min(abs(kj) / gain, 1.0)
-        phase = float(np.angle(kj)) if abs(kj) > 0 else 0.0
-        pipelines.append(ModePipeline(phase=phase, attenuation=k1, gain=gain))
+        phases.append(float(np.angle(kj)) if abs(kj) > 0 else 0.0)
         stages.append(((attenuator_kraus(k1, one),) if k1 < 1.0 - 1e-14 else ())
                       + ((amplifier_kraus(gain, one),) if gain > 1.0 + 1e-14 else ()))
-    return FockChannel(space=space, pipelines=tuple(pipelines), stages=tuple(stages))
+    return FockChannel(space, tuple(phases), tuple(stages))

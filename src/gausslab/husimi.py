@@ -14,10 +14,10 @@ need no interpolation.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
 reduced to it by gauge-covariant channel duality,
 ``p^{a0}_rho(z) = kappa^-2 Q_{L[rho]}(z / kappa)``, where ``L`` is the
 quantum-limited attenuator of transmission ``1/kappa`` applied as one Fock
-stage (:func:`gausslab.fock.apply_kraus`).  :func:`berezin_lieb_fields`
-makes one pass per input (one channel application, one evaluation at the
-rescaled nodes, one smoothing) and the sandwich, convolution and smoothing
-checks reduce it.
+stage to the state itself, pure or mixed (:func:`gausslab.fock.apply_kraus`).
+:func:`berezin_lieb_fields` makes one pass per input (one channel
+application, one evaluation at the rescaled nodes, one smoothing) and the
+sandwich, convolution and smoothing checks reduce it.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
     if ref.n_mean > 0:
         kappa = float(np.sqrt(ref.a0 + 0.5))
         attenuator = fock.attenuator_kraus(1.0 / kappa, space)
-        states = [fock.apply_kraus(attenuator, s if isinstance(s, fock.FockOperator)
-                                   else fock.density(s)) for s in states]
+        states = [fock.apply_kraus(attenuator, s) for s in states]
         z_flat, scale = z_flat / kappa, kappa ** -2
     blocks = [_column_factors(s) for s in states]
     edges = np.cumsum([0] + [b.shape[1] for b in blocks])
@@ -273,12 +272,10 @@ def _measure_reprepare_output(state, c: float, a0: float, a0p: float,
                               cutoff: int, leakage_budget: float) -> fock.FockOperator:
     space = fock.FockSpace(1, cutoff)
     realized = fock.realize_channel(measure_reprepare_channel(c, a0, a0p), space)
-    if state.space.cutoff != cutoff:
-        rho = fock.density(state) if isinstance(state, fock.PureState) else state
-        mat = np.zeros((cutoff, cutoff), dtype=np.complex128)
+    if state.space.cutoff != cutoff:  # crop or pad the amplitudes or the operator
+        x = state.amplitudes if isinstance(state, fock.PureState) else state.matrix
         m = min(state.space.cutoff, cutoff)
-        mat[:m, :m] = rho.matrix[:m, :m]
-        state = fock.FockOperator(space=space, matrix=mat)
+        state = type(state)(space, np.pad(x[(slice(m),) * x.ndim], [(0, cutoff - m)] * x.ndim))
     out = realized.apply(state)
     lk = fock.leakage(out)
     if lk > leakage_budget:

@@ -35,15 +35,11 @@ def rng():
 
 
 def dense_ops(kraus: fock.OneModeChannelKraus) -> list[np.ndarray]:
-    """Dense Kraus matrices A_l of a banded Kraus list, one per shift."""
-    total = kraus.band_sum()
-    return [np.diag(np.diagonal(total, -s), -s) for s in kraus.shifts]
+    """Dense Kraus matrices A_l of a Kraus list, one per nonzero band of its
+    band sum: the diagonal above (attenuator) or below (amplifier) the main
+    one by l."""
+    sign = 1 if kraus.kind == "attenuator" else -1
+    bands = [np.diag(np.diagonal(kraus.band_sum, sign * l), sign * l)
+             for l in range(kraus.space.cutoff)]
+    return [a for a in bands if a.any()]
 
-
-def mode_stages(realized: fock.FockChannel, mode: int = 0) -> tuple:
-    """(attenuator kraus | None, amplifier kraus | None) of one mode of a
-    realized channel, rebuilt from its pipeline; a unit stage is None."""
-    k, kappa = realized.pipelines[mode].attenuation, realized.pipelines[mode].gain
-    one = fock.FockSpace(1, realized.space.cutoff)
-    return (fock.attenuator_kraus(k, one) if k < 1.0 - 1e-14 else None,
-            fock.amplifier_kraus(kappa, one) if kappa > 1.0 + 1e-14 else None)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import dense_ops, mode_stages
+from conftest import dense_ops
 
 from gausslab import fock
 from gausslab.husimi import measure_reprepare_channel
@@ -12,6 +12,8 @@ from gausslab.channels import (
     attenuator_channel,
     build_channel,
     classical_noise_channel,
+    decompose,
+    random_channel,
 )
 from gausslab.errors import (
     AmplitudeTooLarge,
@@ -150,12 +152,10 @@ class TestAmplifierKraus:
         # every band entry A_l[n + l, n] below the cutoff, against a squeezer
         # block 8d wide, whose edge reflection no longer reaches the bands; at
         # d = 128 every eighth input level (one block costs about 0.1 s)
-        kraus = fock.amplifier_kraus(kappa, fock.FockSpace(1, d))
-        table = np.zeros((d, d))
-        table[kraus.shifts] = kraus.coeffs
+        G = fock.amplifier_kraus(kappa, fock.FockSpace(1, d)).band_sum
         for n in range(0, d, step):
             ref = squeezer_column(kappa, n, 8 * d)
-            assert np.abs(table[: d - n, n] - ref[: d - n]).max() < 1e-12
+            assert np.abs(G[n:, n] - ref[: d - n]).max() < 1e-12
 
 
 def squeezer_column(kappa: float, n: int, width: int) -> np.ndarray:
@@ -204,6 +204,40 @@ class TestApplyKraus:
         with pytest.raises(DimensionMismatch):
             fock.apply_kraus(kraus, fock.density(fock.vacuum_state(space40)))
 
+    @pytest.mark.parametrize("modes,kraus", [
+        (1, lambda att, amp: amp),
+        (2, lambda att, amp: [att, amp]),
+        (2, lambda att, amp: [None, amp]),
+        (2, lambda att, amp: [att, None]),
+    ], ids=["one-mode", "two-mode", "none-first", "none-second"])
+    def test_pure_state_is_its_density(self, modes, kraus):
+        one = fock.FockSpace(1, 12)
+        stages = kraus(fock.attenuator_kraus(0.7, one), fock.amplifier_kraus(1.3, one))
+        psi = fock.random_pure_state(9, fock.FockSpace(modes, 12), support=4)
+        assert np.array_equal(fock.apply_kraus(stages, psi).matrix,
+                              fock.apply_kraus(stages, fock.density(psi)).matrix)
+
+    def test_one_mode_list_on_two_modes(self):
+        kraus = fock.attenuator_kraus(0.5, fock.FockSpace(1, 8))
+        with pytest.raises(DimensionMismatch):
+            fock.apply_kraus(kraus, fock.vacuum_state(fock.FockSpace(2, 8)))
+
+
+class TestFockChannel:
+    @pytest.mark.parametrize("phases,stages", [
+        ((0.0, 0.0), ((8,), (6,))),
+        ((0.0,), ((8,), ())),
+        ((0.0, 0.0, 0.0), ((8,), ())),
+        ((0.0, 0.0), ((8,),)),
+        ((0.0, 0.0), ((8,), (), ())),
+    ], ids=["stage-cutoff", "one-phase", "three-phases", "one-stage-tuple",
+            "three-stage-tuples"])
+    def test_rejects_stages_that_do_not_fit(self, phases, stages):
+        stages = tuple(tuple(fock.attenuator_kraus(0.5, fock.FockSpace(1, d)) for d in mode)
+                       for mode in stages)
+        with pytest.raises(DimensionMismatch):
+            fock.FockChannel(fock.FockSpace(2, 8), phases, stages)
+
 
 def on_mode(a: np.ndarray, x: np.ndarray, mode: int) -> np.ndarray:
     """A x A^dag with A acting on one mode of x, axes [m1, (m2,) n1, (n2)]."""
@@ -217,11 +251,10 @@ def dense_sandwich(realized, rho: np.ndarray) -> np.ndarray:
     sum_l A_l rho A_l^dag per stage with the dense Kraus matrices."""
     d, modes = realized.space.cutoff, realized.space.modes
     x = rho.reshape((d,) * (2 * modes))
-    for mode, pipeline in enumerate(realized.pipelines):
-        x = on_mode(np.diag(np.exp(1j * pipeline.phase * np.arange(d))), x, mode)
-        for stage in mode_stages(realized, mode):
-            if stage is not None:
-                x = sum(on_mode(a, x, mode) for a in dense_ops(stage))
+    for mode, (phase, stages) in enumerate(zip(realized.phases, realized.stages)):
+        x = on_mode(np.diag(np.exp(1j * phase * np.arange(d))), x, mode)
+        for stage in stages:
+            x = sum(on_mode(a, x, mode) for a in dense_ops(stage))
     return x.reshape(rho.shape)
 
 
@@ -701,6 +734,20 @@ class TestTracePower:
         with pytest.raises(InvalidState):
             fock.trace_power(fock.FockOperator(space40, m), p)
 
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4])
+    @pytest.mark.parametrize("diagonal,error", [((1.2, -0.2), InvalidState),
+                                                ((0.7 + 0.5j, 0.3), NotHermitian)],
+                             ids=["negative", "imaginary"])
+    def test_every_order_checks_the_diagonal(self, space40, p, diagonal, error):
+        # a two-level block with coherences: orders 3 and 4 take the banded
+        # square, which assumes a Hermitian state, so the diagonal is checked
+        # first, as at order 2
+        m = np.zeros((40, 40), dtype=complex)
+        m[0, 0], m[1, 1] = diagonal
+        m[0, 1] = m[1, 0] = 0.1
+        with pytest.raises(error):
+            fock.trace_power(fock.FockOperator(space40, m), p)
+
     def test_non_integer_order_rejects_non_hermitian(self, space40):
         skew = np.diag(np.full(40, 1 / 40)).astype(complex)
         skew[0, 1] = 1e-6
@@ -759,6 +806,25 @@ class TestRealizeChannel:
         target = fock.coherent_state(0.5 * np.exp(1j * phi) * zeta, space40).amplitudes
         fidelity = np.real(target.conj() @ out.matrix @ target)
         assert fidelity >= 1 - 1e-8
+
+    def test_factorization_is_the_papers(self):
+        # Phi = Amp(K2) o Att(K1) (channels.decompose): per mode the stage
+        # parameters are |K1_jj| and K2_jj and the gauge phase is arg K1_jj,
+        # an omitted stage counting as 1; cutoff 64 admits every drawn gain
+        rng = np.random.default_rng(2014)
+        cases = [(random_channel(rng, 1), fock.FockSpace(1, 64)) for _ in range(50)]
+        cases += [(tensor_channel(first, second), fock.FockSpace(2, 20))
+                  for first, second in ((attenuator_channel(0.6), amplifier_channel(1.2)),
+                                        (amplifier_channel(1.2), attenuator_channel(0.6)))]
+        for ch, space in cases:
+            realized = fock.realize_channel(ch, space)
+            factors = decompose(ch)
+            K1, K2 = factors.attenuator.K, factors.amplifier.K
+            for j in range(space.modes):
+                params = {stage.kind: stage.parameter for stage in realized.stages[j]}
+                assert abs(params.get("attenuator", 1.0) - abs(K1[j, j])) <= 1e-14
+                assert abs(params.get("amplifier", 1.0) - K2[j, j]) <= 1e-14
+                assert abs(realized.phases[j] - np.angle(K1[j, j])) <= 1e-14
 
     def test_rejects_correlated_two_mode(self):
         k = np.array([[0.5, 0.1], [0.0, 0.5]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from conftest import dense_ops, mode_stages
+from conftest import dense_ops
 from hypothesis import strategies as st
 
 from gausslab import fock
@@ -235,10 +235,12 @@ def _composite_kraus(ch, cutoff: int, support: int) -> list[np.ndarray]:
     """Dense one-mode Kraus list of ``ch`` (amplifier after attenuator after
     phase), attenuator labels trimmed to the sampled occupation support."""
     realized = fock.realize_channel(ch, fock.FockSpace(1, cutoff))
-    att, amp = mode_stages(realized)
-    rot = np.diag(np.exp(1j * realized.pipelines[0].phase * np.arange(cutoff)))
-    ops = [rot] if att is None else [A @ rot for A in dense_ops(att)[: support + 1]]
-    return ops if amp is None else [B @ A for B in dense_ops(amp) for A in ops]
+    ops = [np.diag(np.exp(1j * realized.phases[0] * np.arange(cutoff)))]
+    for stage in realized.stages[0]:
+        bands = dense_ops(stage)
+        ops = [B @ A for B in (bands[: support + 1] if stage.kind == "attenuator" else bands)
+               for A in ops]
+    return ops
 
 
 def _gram_purity(ops_a, ops_b, psi, p: float) -> tuple[float, float]:
