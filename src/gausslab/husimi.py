@@ -7,10 +7,15 @@ classical functionals by grid quadrature, the measure-reprepare channel,
 its smoothing/convolution identity, and the generalized Berezin-Lieb
 sandwich.
 
-There is one evaluator, the vacuum-reference density ``<z|rho|z>`` from
-closed-form coherent columns ``<m|D(z)|0>``, so arbitrary node sets
+There is one evaluator, :func:`husimi_values`, of the vacuum-reference
+density ``<z|rho|z>`` in closed form at any node, so arbitrary node sets
 (including the rescaled ones used by the sandwich and convolution checks)
-need no interpolation.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
+need no interpolation.  A pure state is evaluated on the coherent columns
+``<m|D(z)|0>``.  An operator is evaluated in polar form, by gauge
+covariance: ``Q(r e^{i theta}) = sum_k e^{ik theta} g_k(r)`` with one radial
+function per occupied diagonal k, taken at the distinct radii of the nodes,
+and no eigensolve.  Both read one radial table ``e^{-r^2/2} r^n / sqrt(n!)``
+built in log space.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
 reduced to it by gauge-covariant channel duality,
 ``p^{a0}_rho(z) = kappa^-2 Q_{L[rho]}(z / kappa)``, where ``L`` is the
 quantum-limited attenuator of transmission ``1/kappa`` applied as one Fock
@@ -47,7 +52,7 @@ from .majorization import (
 )
 
 TAIL_BUDGET = 1e-4
-NODE_CHUNK = 16384  # nodes per coherent-column build
+NODE_CHUNK = 16384  # nodes per coherent-column or Poisson-table build
 WEHRL_GROUP = 8  # states per husimi_values call in the Wehrl sweep
 
 
@@ -124,49 +129,94 @@ def _as_reference(ref) -> ReferenceState:
     return ref if isinstance(ref, ReferenceState) else ReferenceState(float(ref))
 
 
-def _coherent_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
-    """phi_0[i, m] = <m| D(z_i) |0> = e^{-|z|^2/2} z^m / sqrt(m!).
+def _radial_rows(r: np.ndarray, dim: int):
+    """The rows n < dim of T[n, i] = e^{-r_i^2/2} r_i^n / sqrt(n!) at radii
+    r_i >= 0, one at a time.
 
-    The magnitude is one real exp of its logarithm, finite where the factor
-    e^{-|z|^2/2} alone underflows (|z|^2/2 > 745); the phase is the running
-    product u^m, u = z/|z| (u = 0 at z = 0 leaves only the m = 0 entry).
+    Each row is one real exp of its logarithm, finite where the factor
+    e^{-r^2/2} alone underflows (r^2/2 > 745); at r = 0 the logarithm
+    ln r = -inf makes every row n > 0 exactly 0.
     """
-    r = np.abs(z_flat)
-    nonzero = r > 0
-    logr = np.log(np.where(nonzero, r, 1.0))
+    with np.errstate(divide="ignore"):
+        logr = np.log(r)
     half_r2 = -0.5 * r ** 2
     half_log_factorial = 0.5 * log_factorial(np.arange(dim))
-    u = z_flat / np.where(nonzero, r, 1.0)
+    yield np.exp(half_r2)
+    for n in range(1, dim):
+        yield np.exp(half_r2 + n * logr - half_log_factorial[n])
+
+
+def _coherent_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
+    """phi_0[i, m] = <m| D(z_i) |0> = e^{-|z|^2/2} z^m / sqrt(m!): the
+    :func:`_radial_rows` at |z| times the running product u^m, u = z/|z|
+    (u = 0 at z = 0)."""
+    r = np.abs(z_flat)
+    u = z_flat / np.where(r > 0, r, 1.0)
     cols = np.empty((dim, z_flat.size), dtype=np.complex128)
     phase = np.ones(z_flat.size, dtype=np.complex128)
-    for m in range(dim):
-        np.multiply(phase, np.exp(half_r2 + m * logr - half_log_factorial[m]), out=cols[m])
+    for row, magnitude in zip(cols, _radial_rows(r, dim)):
+        np.multiply(phase, magnitude, out=row)
         phase *= u
     return cols.T
 
 
-def _column_factors(state) -> np.ndarray:
-    """Columns b_j with state = sum_j b_j b_j^dag: the amplitudes of a pure
-    state, sqrt(w) v over the eigenpairs of a mixed one."""
-    if isinstance(state, fock.PureState):
-        return state.amplitudes[:, None]
-    w, v = np.linalg.eigh(0.5 * (state.matrix + state.matrix.conj().T))
-    keep = w > 1e-15
-    return v[:, keep] * np.sqrt(w[keep])
+def _diagonals(rho: fock.FockOperator) -> np.ndarray:
+    """D[n, k] = h[n, n + k] sqrt(n! / (n + k)!) for n < s and k < w, the
+    occupied box s and width w of rho (:func:`fock._structure`), where
+    h = (rho + rho^dag) / 2 and D is zero past the box (n + k >= s)."""
+    m = np.ascontiguousarray(rho.matrix, dtype=np.complex128)
+    (box,), (width,) = fock._structure(m, rho.space)
+    half_log_factorial = 0.5 * log_factorial(np.arange(box))
+    out = np.zeros((box, width), dtype=np.complex128)
+    for k in range(width):
+        upper, lower = np.diagonal(m, k)[:box - k], np.diagonal(m, -k)[:box - k]
+        out[:box - k, k] = 0.5 * (upper + lower.conj()) * np.exp(
+            half_log_factorial[:box - k] - half_log_factorial[k:])
+    return out
+
+
+def _polar_values(diagonals: np.ndarray, poisson: np.ndarray, inv: np.ndarray,
+                  z: np.ndarray) -> np.ndarray:
+    """Q(z) = <z|rho|z> = Re G_0(r) + 2 Re sum_{k>=1} G_k(r) z^k at nodes z.
+
+    ``poisson`` is the table P[n, i] = e^{-r_i^2} r_i^{2n} / n! at distinct
+    radii r_i, and node j has radius r_{inv[j]}.  G = P^T D, D the
+    :func:`_diagonals` of rho, is one real product on D's float64 view, and
+    the sum over k is Horner's scheme in z over the rows of G^T."""
+    s, w = diagonals.shape
+    g = (poisson[:s].T @ diagonals.view(np.float64)).view(np.complex128).T.copy()
+    acc = np.zeros(z.size, dtype=np.complex128)
+    for k in range(w - 1, 0, -1):
+        acc += g[k][inv]
+        acc *= z
+    return g[0].real[inv] + 2.0 * acc.real
 
 
 def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
     """p(z) = Tr[state . D(z) rho0 D(z)*] at arbitrary complex nodes.
 
     ``state`` is one state, or a sequence of pure or mixed states on one
-    space, which gives one row of values per state.  Per chunk of nodes the
-    coherent columns, cropped to the highest occupied level, are built once
-    and multiplied with the stacked column factors of every state at once.
+    space, which gives one row of values per state.  Nodes are taken in
+    chunks of :data:`NODE_CHUNK`.
+
+    - Pure states are evaluated on coherent columns.  Per chunk the columns
+      <m|D(z)|0>, cropped to the highest occupied level, are built once and
+      multiplied with the stacked amplitudes of every pure state.
+    - Operators are evaluated in polar form, by gauge covariance:
+      Q(r e^{i theta}) = sum_{|k|<w} e^{ik theta} g_k(r) over the w occupied
+      diagonals (:func:`_polar_values`).  Per chunk a Poisson table is built
+      once at the chunk's distinct radii, and each operator is one product
+      of it with its weighted diagonals.  There is no eigensolve.
 
     A thermal reference reduces to the vacuum one by attenuator duality:
     p(z) = kappa^-2 Q_{L[state]}(z / kappa) with kappa^2 = a0 + 1/2, where L
     is the quantum-limited attenuator of transmission 1/kappa and Q the
-    vacuum-reference density <w| . |w>.
+    vacuum-reference density <w| . |w>.  The attenuated states are
+    operators, so a thermal reference always takes the polar form.
+
+    Raises InvalidState on a non-finite amplitude, operator entry or node,
+    and on a density above 1 + 1e-8 or below -1e-8; round-off negatives
+    above -1e-8 are set to 0.
     """
     ref = _as_reference(ref)
     batch = not isinstance(state, (fock.PureState, fock.FockOperator))
@@ -176,28 +226,46 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("husimi evaluation is one-mode")
     if any(s.space != space for s in states):
         raise DimensionMismatch("batched husimi evaluation needs states on one space")
+    if not all(np.isfinite(s.amplitudes if isinstance(s, fock.PureState) else s.matrix).all()
+               for s in states):
+        raise InvalidState("husimi evaluation of a state with a non-finite entry")
     z_flat = np.asarray(z_nodes, dtype=np.complex128).ravel()
+    if not np.isfinite(z_flat).all():
+        raise InvalidState("husimi evaluation at a non-finite node")
     scale = 1.0
     if ref.n_mean > 0:
         kappa = float(np.sqrt(ref.a0 + 0.5))
         attenuator = fock.attenuator_kraus(1.0 / kappa, space)
         states = [fock.apply_kraus(attenuator, s) for s in states]
         z_flat, scale = z_flat / kappa, kappa ** -2
-    blocks = [_column_factors(s) for s in states]
-    edges = np.cumsum([0] + [b.shape[1] for b in blocks])
-    stacked = np.hstack(blocks)
-    stacked = stacked[:1 + int(np.flatnonzero(stacked.any(axis=1)).max(initial=0))]
+    pure = [row for row, s in enumerate(states) if isinstance(s, fock.PureState)]
+    if pure:
+        stacked = np.stack([states[row].amplitudes for row in pure], axis=1)
+        stacked = stacked[:1 + int(np.flatnonzero(stacked.any(axis=1)).max(initial=0))]
+    operators = [(row, _diagonals(s)) for row, s in enumerate(states)
+                 if isinstance(s, fock.FockOperator)]
+    box = max((diagonals.shape[0] for _, diagonals in operators), default=0)
     out = np.empty((len(states), z_flat.size))
     for start in range(0, z_flat.size, NODE_CHUNK):
         sl = slice(start, min(start + NODE_CHUNK, z_flat.size))
-        # columns at conj(z) are the conjugated <m|D(z)|0>
-        weights = np.abs(_coherent_columns(z_flat[sl].conj(), len(stacked)) @ stacked) ** 2
-        for row in range(len(states)):
-            out[row, sl] = weights[:, edges[row]:edges[row + 1]].sum(axis=1)
+        if pure:
+            # columns at conj(z) are the conjugated <m|D(z)|0>
+            out[pure, sl] = (np.abs(_coherent_columns(z_flat[sl].conj(), len(stacked))
+                                    @ stacked) ** 2).T
+        if operators:
+            radii, inv = np.unique(np.abs(z_flat[sl]), return_inverse=True)
+            poisson = np.empty((box, radii.size))
+            for level, magnitude in zip(poisson, _radial_rows(radii, box)):
+                np.square(magnitude, out=level)
+            for row, diagonals in operators:
+                out[row, sl] = _polar_values(diagonals, poisson, inv, z_flat[sl])
     out *= scale
     for values in out:
-        if values.max(initial=0.0) > 1.0 + 1e-8:
+        if not values.max(initial=0.0) <= 1.0 + 1e-8:
             raise InvalidState(f"husimi density exceeds 1: max {values.max():.6f}")
+        if not values.min(initial=0.0) >= -1e-8:
+            raise InvalidState(f"husimi density is negative: min {values.min():.3e}")
+    np.maximum(out, 0.0, out=out)
     return out.reshape(out.shape[:batch] + np.shape(z_nodes))
 
 

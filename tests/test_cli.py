@@ -223,6 +223,23 @@ class TestSweepCommands:
         assert code == 0
         assert (len(applies), len(output_evals)) == (1, 1)
 
+    def test_berezinlieb_eigensolves_its_output_once(self, monkeypatch, tmp_path):
+        # the output sigma is eigensolved once, for its spectrum; its density
+        # at the rescaled nodes takes none.  Building the channel checks its
+        # one-mode (K, mu) algebra by 1 x 1 eigvalsh calls, left out here.
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name, seen in shapes.items():
+            def counted(a, *args, _solver=getattr(np.linalg, name), _seen=seen, **kwargs):
+                _seen.append(np.shape(a))
+                return _solver(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code, _ = run_to_file(tmp_path, ["berezinlieb", "--c", "2", "--probe", "coherent:0.7",
+                                         "--grid-step", "0.2"])
+        assert code == 0
+        fock_space = {name: len([s for s in seen if s != (1, 1)]) for name, seen in shapes.items()}
+        assert fock_space == {"eigh": 0, "eigvalsh": 1}
+
     def test_wehrl_evaluates_all_inputs_in_one_call(self, monkeypatch, tmp_path):
         # the vacuum, two Fock probes and three samples form one group: one
         # evaluation, and one column build per chunk of the default grid

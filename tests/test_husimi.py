@@ -155,6 +155,102 @@ class TestBatchedEvaluation:
             hu.husimi_values([fock.vacuum_state(space), doubled], 0.5, coarse.nodes)
 
 
+def eigh_husimi_values(state: fock.FockOperator, a0: float, z_nodes) -> np.ndarray:
+    """The operator density by eigenpairs: the columns sqrt(w) v over the
+    eigenpairs of the Hermitian part with w > 1e-15, each evaluated on the
+    library's coherent columns, after the same attenuator for a0 > 1/2."""
+    z = np.asarray(z_nodes, dtype=np.complex128).ravel()
+    scale = 1.0
+    if a0 > 0.5:
+        kappa = np.sqrt(a0 + 0.5)
+        state = fock.apply_kraus(fock.attenuator_kraus(1.0 / kappa, state.space), state)
+        z, scale = z / kappa, kappa ** -2
+    w, v = np.linalg.eigh(0.5 * (state.matrix + state.matrix.conj().T))
+    keep = w > 1e-15
+    factors = v[:, keep] * np.sqrt(w[keep])
+    columns = hu._coherent_columns(z.conj(), state.space.cutoff)
+    return scale * (np.abs(columns @ factors) ** 2).sum(axis=1)
+
+
+class TestPolarEvaluation:
+    """Operators are evaluated in polar form, one radial function per
+    occupied diagonal, and agree with the eigenpair evaluation they replace
+    from the origin to nodes where e^{-|z|^2/2} underflows."""
+
+    @pytest.fixture(scope="class")
+    def space128(self):
+        return fock.FockSpace(1, 128)
+
+    @pytest.fixture(scope="class")
+    def operators(self, space128):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+
+        def density(b):
+            m = b @ b.conj().T
+            return fock.FockOperator(space=space128, matrix=m / np.trace(m).real)
+
+        return {
+            "diagonal": fock.FockOperator(space=space128, matrix=np.diag(
+                rng.dirichlet(np.ones(128))).astype(np.complex128)),
+            "banded": density(np.triu(np.tril(a, 1), -1)),  # tridiagonal b: width 3
+            "full": density(a),
+        }
+
+    @pytest.fixture(scope="class")
+    def nodes(self):
+        radii = np.array([0.0, 1e-3, 5.0, 18.0, 40.0, 300.0])
+        angles = np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (radii.size, 5))
+        return (radii[:, None] * np.exp(1j * angles)).ravel()
+
+    @pytest.mark.parametrize("a0", [0.5, 1.0])
+    @pytest.mark.parametrize("kind,width", [("diagonal", 1), ("banded", 3), ("full", 128)])
+    def test_matches_eigenpair_evaluation(self, operators, nodes, kind, width, a0):
+        rho = operators[kind]
+        assert fock._structure(rho.matrix, rho.space)[1] == (width,)
+        got = hu.husimi_values(rho, a0, nodes)
+        assert np.isfinite(got).all()
+        assert np.abs(got - eigh_husimi_values(rho, a0, nodes)).max() <= 1e-15
+
+    @pytest.mark.parametrize("a0", [0.5, 1.0])
+    def test_mixed_batch_rows_are_separate_calls(self, operators, space128, a0):
+        # bitwise: an operator row is its own call, and the pure rows are the
+        # pure states' own batch (their stacked columns share one crop there;
+        # alone, each would be cropped to its support and rounded differently)
+        nodes = 2.0 * hu.make_grid(6.0, 0.2).nodes
+        pure = [fock.vacuum_state(space128), fock.random_pure_state(5, space128, support=8),
+                fock.coherent_state(0.7, space128)]
+        batch = [pure[0], operators["banded"], pure[1], operators["diagonal"], pure[2],
+                 operators["full"]]
+        got = hu.husimi_values(batch, a0, nodes)
+        assert np.array_equal(got[[0, 2, 4]], hu.husimi_values(pure, a0, nodes))
+        for row, kind in zip(got[[1, 3, 5]], ("banded", "diagonal", "full")):
+            assert np.array_equal(row, hu.husimi_values(operators[kind], a0, nodes))
+
+
+class TestNonFiniteInput:
+    """A NaN in the state or the nodes raises instead of passing the density
+    check, which a NaN density would not fail."""
+
+    @pytest.mark.parametrize("a0", [0.5, 1.0])
+    @pytest.mark.parametrize("case", ["pure-amplitude", "operator-diagonal", "node"])
+    def test_raises_invalid_state(self, space, case, a0):
+        nodes = np.array([0.5 + 0.25j, -1.0j, 2.0])
+        state = fock.number_state(space, 1)
+        if case == "pure-amplitude":
+            amplitudes = state.amplitudes.copy()
+            amplitudes[2] = np.nan
+            state = fock.PureState(space=space, amplitudes=amplitudes)
+        elif case == "operator-diagonal":
+            matrix = fock.thermal_state(0.5, space).matrix.copy()
+            matrix[3, 3] = np.nan
+            state = fock.FockOperator(space=space, matrix=matrix)
+        else:
+            nodes[1] = np.nan
+        with pytest.raises(InvalidState):
+            hu.husimi_values(state, a0, nodes)
+
+
 class TestHusimiDensity:
     def test_vacuum_closed_form(self, grid, space):
         field = hu.husimi_density(fock.vacuum_state(space), 0.5, grid)
