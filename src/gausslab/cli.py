@@ -64,7 +64,6 @@ class RunConfig:
     tolerance: float | None = None
     threads: int = 1
     output: str | None = None
-    format: str = "json"
     extra: tuple[tuple[str, object], ...] = ()
 
 
@@ -111,10 +110,10 @@ def _functional(name: str, p: float) -> mj.ConcaveFunctional:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (report dict, passed flag or None).
+# Subcommand handlers.  Each returns (report dict, passed flag).
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_validate(args) -> tuple[dict, bool]:
     config = RunConfig(command="validate", channels=(args.channel,),
                        tolerance=args.tol, output=args.out)
     try:
@@ -122,14 +121,14 @@ def _cmd_validate(args) -> tuple[dict, bool, RunConfig]:
     except ValidityError as exc:
         report = _report(config, {"valid": False, "reason": str(exc)},
                          {"validity": args.tol}, passed=False)
-        return report, False, config
+        return report, False
     cls = classify(ch, tol=args.tol)
     report = _report(config, {"valid": True, "class": cls.value, "modes": ch.modes},
                      {"validity": args.tol}, passed=True)
-    return report, True, config
+    return report, True
 
 
-def _cmd_classify(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_classify(args) -> tuple[dict, bool]:
     config = RunConfig(command="classify", channels=(args.channel,),
                        tolerance=args.tol, output=args.out)
     ch = load_channel(args.channel, tol=args.tol)
@@ -140,10 +139,10 @@ def _cmd_classify(args) -> tuple[dict, bool, RunConfig]:
         "condition_b": strict.condition_b,
         "min_singular_value": strict.min_singular_value,
     }
-    return _report(config, results, {"classification": args.tol}), True, config
+    return _report(config, results, {"classification": args.tol}), True
 
 
-def _cmd_decompose(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_decompose(args) -> tuple[dict, bool]:
     config = RunConfig(command="decompose", channels=(args.channel,),
                        tolerance=args.tol, output=args.out)
     ch = load_channel(args.channel, tol=args.tol)
@@ -155,10 +154,10 @@ def _cmd_decompose(args) -> tuple[dict, bool, RunConfig]:
         "amplifier": channel_to_dict(dec.amplifier),
         "roundtrip_error": err,
     }
-    return _report(config, results, {"roundtrip": 1e-10}, passed=err <= 1e-10), err <= 1e-10, config
+    return _report(config, results, {"roundtrip": 1e-10}, passed=err <= 1e-10), err <= 1e-10
 
 
-def _cmd_entropy(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_entropy(args) -> tuple[dict, bool]:
     config = RunConfig(command="entropy", channels=(args.channel,), p=args.p,
                        output=args.out)
     ch = load_channel(args.channel)
@@ -169,10 +168,10 @@ def _cmd_entropy(args) -> tuple[dict, bool, RunConfig]:
     }
     if args.p is not None:
         results[f"renyi_{args.p:g}"] = minimal_output_renyi(ch, args.p) / unit
-    return _report(config, results, {}), True, config
+    return _report(config, results, {}), True
 
 
-def _cmd_purity(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_purity(args) -> tuple[dict, bool]:
     config = RunConfig(command="purity", channels=(args.channel,), p=args.p,
                        output=args.out)
     ch = load_channel(args.channel)
@@ -183,10 +182,10 @@ def _cmd_purity(args) -> tuple[dict, bool, RunConfig]:
         "det_value": purity_determinant(ch, args.p),
         "p": args.p,
     }
-    return _report(config, results, {}), True, config
+    return _report(config, results, {}), True
 
 
-def _cmd_majorize(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_majorize(args) -> tuple[dict, bool]:
     config = RunConfig(command="majorize", channels=(args.channel,),
                        samples=args.samples, seed=args.seed, cutoff=args.cutoff,
                        threads=args.threads, output=args.out,
@@ -213,10 +212,10 @@ def _cmd_majorize(args) -> tuple[dict, bool, RunConfig]:
     }
     leak = {"max": max(r.leakage for r in all_rows), "rejected": sweep.rejected}
     return _report(config, results, {"gap": 1e-8, "partial_sums": 1e-8}, leak,
-                   passed), passed, config
+                   passed), passed
 
 
-def _cmd_additivity(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_additivity(args) -> tuple[dict, bool]:
     config = RunConfig(command="additivity", channels=(args.channel_a, args.channel_b),
                        p=args.p, samples=args.samples, seed=args.seed,
                        cutoff=args.cutoff, threads=args.threads, output=args.out)
@@ -233,10 +232,10 @@ def _cmd_additivity(args) -> tuple[dict, bool, RunConfig]:
     leak = {"max": max((r.leakage for r in rep.rows), default=0.0),
             "rejected": rep.rejected}
     return _report(config, results, {"bound_slack": 1e-8, "vacuum": 1e-6}, leak,
-                   passed), passed, config
+                   passed), passed
 
 
-def _cmd_strictgap(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_strictgap(args) -> tuple[dict, bool]:
     config = RunConfig(command="strictgap", channels=(args.channel,),
                        cutoff=args.cutoff, output=args.out,
                        extra=(("functional", args.f),))
@@ -254,10 +253,10 @@ def _cmd_strictgap(args) -> tuple[dict, bool, RunConfig]:
                    for r in rep.rows],
     }
     return _report(config, results, {"strict_gap": 1e-4, "coherent": 1e-6},
-                   passed=passed), passed, config
+                   passed=passed), passed
 
 
-def _cmd_wehrl(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_wehrl(args) -> tuple[dict, bool]:
     config = RunConfig(command="wehrl", samples=args.samples, seed=args.seed,
                        grid_radius=args.grid_radius, grid_step=args.grid_step,
                        threads=args.threads, output=args.out,
@@ -272,9 +271,8 @@ def _cmd_wehrl(args) -> tuple[dict, bool, RunConfig]:
         rows_to_csv(rep.rows, args.csv)
     results = {"coherent_value": rep.vacuum_value, "min_value": rep.best_sampled_value,
                "gap": rep.gap, "best_input": rep.best_input_descriptor}
-    leak = {"max_tail_mass": max((r.leakage for r in rep.rows), default=0.0),
-            "rejected": rep.rejected}
-    return _report(config, results, {"gap": 1e-3}, leak, passed), passed, config
+    leak = {"max_tail_mass": max((r.leakage for r in rep.rows), default=0.0)}
+    return _report(config, results, {"gap": 1e-3}, leak, passed), passed
 
 
 _PROBE_BUILDERS = {
@@ -298,7 +296,7 @@ def _parse_probe(name: str, space: fock.FockSpace) -> fock.PureState:
     raise UsageError(f"unknown probe '{name}' (vacuum, fock1, fock2, coherent:<z>)")
 
 
-def _cmd_berezinlieb(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_berezinlieb(args) -> tuple[dict, bool]:
     config = RunConfig(command="berezinlieb", cutoff=args.cutoff,
                        grid_radius=args.grid_radius, grid_step=args.grid_step,
                        output=args.out,
@@ -322,10 +320,10 @@ def _cmd_berezinlieb(args) -> tuple[dict, bool, RunConfig]:
     results = {"lower": rep.lower, "middle": rep.middle, "upper": rep.upper,
                "min_slack": rep.min_slack, "convolution_deviation": conv.sup_deviation}
     return _report(config, results, {"sandwich_slack": 1e-3, "convolution": 2e-3},
-                   passed=passed), passed, config
+                   passed=passed), passed
 
 
-def _cmd_selftest(args) -> tuple[dict, bool, RunConfig]:
+def _cmd_selftest(args) -> tuple[dict, bool]:
     config = RunConfig(command="selftest", output=args.out,
                        extra=(("scale", args.scale),))
     results = suite.run_all(scale=args.scale, verbose=not args.quiet)
@@ -335,7 +333,7 @@ def _cmd_selftest(args) -> tuple[dict, bool, RunConfig]:
                       "details": r.details} for r in results],
         "all_pass": passed,
     }
-    return _report(config, body, {"scale": args.scale}, passed=passed), passed, config
+    return _report(config, body, {"scale": args.scale}, passed=passed), passed
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +488,7 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) is None:
             args.threads = _threads_default()
-        report, passed, config = _HANDLERS[args.command](args)
+        report, passed = _HANDLERS[args.command](args)
     except (FileFormatError, UsageError, DimensionTooLarge, FileNotFoundError,
             IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Truncated number-basis simulator.
 
 Brute-force oracle for the closed forms in :mod:`gausslab.states`:
-displacement operators and coherent states, one-mode quantum-limited
+coherent and thermal states, one-mode quantum-limited
 attenuator/amplifier channels realized through unitary dilations
 (beamsplitter and two-mode squeezer with vacuum ancilla), gauge rotations,
 transposition, complementary outputs, and exact output spectra.
@@ -55,7 +55,6 @@ from .errors import (
     NotDiagonal,
     NotHermitian,
     ParameterOutOfRange,
-    TruncationLeakage,
 )
 
 DIM_GUARD = 4096
@@ -152,13 +151,6 @@ def number_state(space: FockSpace, occupation) -> PureState:
     return PureState(space=space, amplitudes=amp)
 
 
-def tensor_pure(a: PureState, b: PureState) -> PureState:
-    if a.space.modes != 1 or b.space.modes != 1 or a.space.cutoff != b.space.cutoff:
-        raise DimensionMismatch("tensor_pure needs two one-mode states of equal cutoff")
-    space = FockSpace(2, a.space.cutoff)
-    return PureState(space=space, amplitudes=np.kron(a.amplitudes, b.amplitudes))
-
-
 def density(psi: PureState) -> FockOperator:
     return FockOperator(space=psi.space, matrix=np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
@@ -184,26 +176,6 @@ def coherent_state(zeta: complex, space: FockSpace) -> PureState:
     if abs(norm - 1.0) > 1e-8:
         raise AmplitudeTooLarge(f"truncated coherent state lost {1 - norm:.2e} of its norm")
     return PureState(space=space, amplitudes=amp / norm)
-
-
-def annihilation(cutoff: int) -> np.ndarray:
-    a = np.zeros((cutoff, cutoff), dtype=np.complex128)
-    ns = np.arange(1, cutoff)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
-def displacement_matrix(z: complex, space: FockSpace) -> FockOperator:
-    """exp(z a^dag - conj(z) a), truncated at the cutoff (one mode)."""
-    if space.modes != 1:
-        raise DimensionMismatch("displacement_matrix is one-mode")
-    z = complex(z)
-    if abs(z) ** 2 > space.cutoff / 4.0:
-        raise AmplitudeTooLarge(
-            f"|z|^2 = {abs(z)**2:.3f} exceeds cutoff/4 = {space.cutoff / 4.0}"
-        )
-    a = annihilation(space.cutoff)
-    return FockOperator(space=space, matrix=unitary_expm(z * a.conj().T - np.conj(z) * a))
 
 
 def gauge_rotation(phi: float, space: FockSpace) -> FockOperator:
@@ -252,32 +224,9 @@ def random_pure_state(seed, space: FockSpace, support: int | None = None) -> Pur
     return PureState(space=space, amplitudes=amp / np.linalg.norm(amp))
 
 
-def mean_photon(obj: PureState | FockOperator) -> tuple[float, ...]:
-    """Per-mode mean occupation numbers."""
-    if isinstance(obj, PureState):
-        prob = np.abs(obj.amplitudes) ** 2
-        space = obj.space
-    else:
-        prob = np.real(np.diagonal(obj.matrix))
-        space = obj.space
-    d = space.cutoff
-    n = np.arange(d, dtype=float)
-    if space.modes == 1:
-        return (float(prob @ n),)
-    grid = prob.reshape(d, d)
-    return (float(grid.sum(axis=1) @ n), float(grid.sum(axis=0) @ n))
-
-
 def leakage(rho: FockOperator) -> float:
     """Probability mass pushed past the cutoff: 1 - Tr rho."""
     return float(1.0 - np.real(np.trace(rho.matrix)))
-
-
-def require_leakage(rho: FockOperator, budget: float = 1e-6) -> FockOperator:
-    lk = leakage(rho)
-    if lk > budget:
-        raise TruncationLeakage(f"truncation leakage {lk:.3e} exceeds budget {budget:.1e}")
-    return rho
 
 
 def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -306,7 +255,7 @@ def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[
 
 
 def _box_spectrum(m: np.ndarray, space: FockSpace, boxes: tuple[int, ...],
-                  widths: tuple[int, ...], clamp: float) -> np.ndarray:
+                  widths: tuple[int, ...]) -> np.ndarray:
     """:func:`spectrum` of m, given its :func:`_structure`."""
     d, modes = space.cutoff, space.modes
     box = tuple(slice(b) for b in boxes)
@@ -325,25 +274,25 @@ def _box_spectrum(m: np.ndarray, space: FockSpace, boxes: tuple[int, ...],
         w = np.linalg.eigvalsh(0.5 * (block + adjoint))[::-1]
     if not defect <= 1e-10:
         raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
-    if not w[-1] >= -clamp:  # before padding, which puts zeros last
-        raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -{clamp:.1e}")
+    if not w[-1] >= -1e-8:  # before padding, which puts zeros last
+        raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -1.0e-08")
     if len(w) < len(m):
         w = np.concatenate([w, np.zeros(len(m) - len(w))])
     return np.clip(w, 0.0, None)
 
 
-def spectrum(rho: FockOperator, clamp: float = 1e-8) -> np.ndarray:
-    """Real eigenvalues, descending; negatives above -clamp are set to 0.
+def spectrum(rho: FockOperator) -> np.ndarray:
+    """Real eigenvalues, descending; negatives above -1e-8 are set to 0.
 
     Only the operator's occupied box (:func:`_structure`) is read: it is
     checked for finite entries and Hermiticity there, and its block alone is
     eigensolved, the rest of the spectrum being zeros.  The two-mode output
     of a support-s input behind an attenuator on one mode is an s d block,
     not d^2.  A Fock-diagonal operator's spectrum is read off its diagonal.
-    Raises InvalidState on a non-finite entry or an eigenvalue below -clamp,
+    Raises InvalidState on a non-finite entry or an eigenvalue below -1e-8,
     NotHermitian on a Hermiticity defect above 1e-10."""
     m = np.ascontiguousarray(rho.matrix, dtype=np.complex128)
-    return _box_spectrum(m, rho.space, *_structure(m, rho.space), clamp)
+    return _box_spectrum(m, rho.space, *_structure(m, rho.space))
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -414,7 +363,7 @@ def trace_power(rho: FockOperator, p: float) -> float:
     checks.  Raises InvalidState when the result is not finite."""
     m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
     if p in (2, 3, 4):  # the diagonal's checks only: no scan, no eigensolve
-        _box_spectrum(m, rho.space, (d,) * rho.space.modes, (1,) * rho.space.modes, 1e-8)
+        _box_spectrum(m, rho.space, (d,) * rho.space.modes, (1,) * rho.space.modes)
     if p == 2:
         value = _real_inner(m, m)
     else:
@@ -430,7 +379,7 @@ def trace_power(rho: FockOperator, p: float) -> float:
                 square = m @ m
                 value = _real_inner(square, m if p == 3 else square)
         else:
-            value = float(np.sum(_box_spectrum(m, rho.space, boxes, widths, 1e-8) ** p))
+            value = float(np.sum(_box_spectrum(m, rho.space, boxes, widths) ** p))
     if not np.isfinite(value):
         raise InvalidState(f"Tr rho^{p:g} is not finite: {value}")
     return value

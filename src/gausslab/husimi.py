@@ -22,7 +22,7 @@ quantum-limited attenuator of transmission ``1/kappa`` applied as one Fock
 stage to the state itself, pure or mixed (:func:`gausslab.fock.apply_kraus`).
 :func:`berezin_lieb_fields` makes one pass per input (one channel
 application, one evaluation at the rescaled nodes, one smoothing) and the
-sandwich, convolution and smoothing checks reduce it.
+sandwich and convolution checks reduce it.
 """
 
 from __future__ import annotations
@@ -288,11 +288,11 @@ def estimate_tail_mass(state, ref, grid: PhaseSpaceGrid) -> float:
     return float(np.sum(np.sqrt(prob * tails)) ** 2)
 
 
-def husimi_density(state, ref, grid: PhaseSpaceGrid,
-                   tail_budget: float = TAIL_BUDGET):
+def husimi_density(state, ref, grid: PhaseSpaceGrid):
     """Generalized Husimi density of a one-mode state on the grid, a
     :class:`HusimiField`; a sequence of states gives a list of fields, every
-    tail mass checked, in order, before one :func:`husimi_values` call.
+    tail mass checked against :data:`TAIL_BUDGET`, in order, before one
+    :func:`husimi_values` call.
 
     With the vacuum reference (a0 = 1/2) this is exactly <z|rho|z>.
     """
@@ -301,9 +301,9 @@ def husimi_density(state, ref, grid: PhaseSpaceGrid,
     states = list(state) if batch else [state]
     tails = [estimate_tail_mass(s, ref, grid) for s in states]
     for tail in tails:
-        if tail > tail_budget:
+        if tail > TAIL_BUDGET:
             raise TailMassTooLarge(
-                f"estimated off-grid mass {tail:.2e} exceeds budget {tail_budget:.1e}"
+                f"estimated off-grid mass {tail:.2e} exceeds budget {TAIL_BUDGET:.1e}"
             )
     values = husimi_values(states if batch else state, ref, grid.nodes)
     fields = [HusimiField(grid, v, tail) for v, tail in zip(values if batch else [values], tails)]
@@ -337,7 +337,7 @@ def measure_reprepare_channel(c: float, a0: float = 0.5,
 
 
 def _measure_reprepare_output(state, c: float, a0: float, a0p: float,
-                              cutoff: int, leakage_budget: float) -> fock.FockOperator:
+                              cutoff: int) -> fock.FockOperator:
     space = fock.FockSpace(1, cutoff)
     realized = fock.realize_channel(measure_reprepare_channel(c, a0, a0p), space)
     if state.space.cutoff != cutoff:  # crop or pad the amplitudes or the operator
@@ -346,9 +346,9 @@ def _measure_reprepare_output(state, c: float, a0: float, a0p: float,
         state = type(state)(space, np.pad(x[(slice(m),) * x.ndim], [(0, cutoff - m)] * x.ndim))
     out = realized.apply(state)
     lk = fock.leakage(out)
-    if lk > leakage_budget:
+    if lk > TAIL_BUDGET:
         raise TruncationLeakage(
-            f"measure-reprepare output leaks {lk:.2e} > {leakage_budget:.1e}; raise the cutoff"
+            f"measure-reprepare output leaks {lk:.2e} > {TAIL_BUDGET:.1e}; raise the cutoff"
         )
     return out
 
@@ -373,16 +373,15 @@ class BerezinLiebFields:
 
 
 def berezin_lieb_fields(state, c: float, a0: float, a0p: float, grid: PhaseSpaceGrid,
-                        cutoff: int = 128,
-                        leakage_budget: float = TAIL_BUDGET) -> BerezinLiebFields:
+                        cutoff: int = 128) -> BerezinLiebFields:
     """One pass: one channel application, the input density on the grid, the
-    output density at the rescaled nodes and one smoothing, for the sandwich,
-    the convolution identity and the smoothing limit to reduce."""
+    output density at the rescaled nodes and one smoothing, for the sandwich
+    and the convolution identity to reduce."""
     p_in = husimi_values(state, a0, grid.nodes)
     total = grid.integrate(p_in)
     if abs(total - 1.0) > 1e-3:
         raise QuadratureError(f"lower-symbol mass on the grid is {total!r}, expected 1")
-    sigma = _measure_reprepare_output(state, c, a0, a0p, cutoff, leakage_budget)
+    sigma = _measure_reprepare_output(state, c, a0, a0p, cutoff)
     return BerezinLiebFields(c=c, grid=grid, sigma=sigma, spectrum=fock.spectrum(sigma),
                              p_in=p_in, p_bar_scaled=husimi_values(sigma, a0p, c * grid.nodes),
                              smoothed=smooth_field(p_in, c, a0p, grid))
@@ -450,28 +449,20 @@ def smooth_field(p_in: np.ndarray, c: float, a0p: float,
     return conv[tuple(slice((n - 1) // 2, (n - 1) // 2 + n) for n in p_in.shape)] * grid.weight
 
 
-def smoothing_deviation(fields: BerezinLiebFields, f: ConcaveFunctional) -> float:
-    """| int f(p) - int f(p * q_{a0'/c^2}) |, the quantity driven to zero by
-    large c in the smoothing limit."""
-    grid = fields.grid
-    return abs(grid.integrate(np.asarray(f(fields.p_in)))
-               - grid.integrate(np.asarray(f(fields.smoothed))))
-
-
 def wehrl_optimality_test(a0: float, n_samples: int, seed: int,
                           grid: PhaseSpaceGrid, f: ConcaveFunctional,
-                          probe_dim: int = 16, cutoff: int | None = None,
-                          threads: int = 1) -> OptimalityReport:
+                          probe_dim: int = 16, threads: int = 1) -> OptimalityReport:
     """Classical-functional minimality of coherent states.
 
     Evaluates int f(p_rho) for Fock probes and Haar samples (bounded
     occupation) against the vacuum-input value, which equals the value of
     every coherent input by translation invariance.  The inputs (indices 0-2
     the vacuum, fock(1), fock(2), then the samples) are evaluated in groups
-    of :data:`WEHRL_GROUP` states, one :func:`husimi_density` call per group.
+    of :data:`WEHRL_GROUP` states, one :func:`husimi_density` call per group,
+    at cutoff max(2 probe_dim, 32).  An input over the tail budget raises
+    TailMassTooLarge; nothing is redrawn.
     """
-    cutoff = cutoff or max(2 * probe_dim, 32)
-    space = fock.FockSpace(1, cutoff)
+    space = fock.FockSpace(1, max(2 * probe_dim, 32))
 
     def evaluate(indices) -> list[tuple[float, float]]:
         group = [fock.number_state(space, index) if index < 3 else fock.random_pure_state(
@@ -492,8 +483,7 @@ def wehrl_optimality_test(a0: float, n_samples: int, seed: int,
     best = min(rows, key=lambda row: row.value)
     return OptimalityReport(vacuum_value=vacuum_value, best_sampled_value=best.value,
                             best_input_descriptor=best.label, gap=best.gap,
-                            samples=n_samples, seed=seed, functional=f.label,
-                            rejected=0, rows=rows)
+                            samples=n_samples, seed=seed, functional=f.label, rows=rows)
 
 
 def field_to_csv(field: HusimiField, path) -> None:

@@ -125,11 +125,6 @@ def trace_functional(values, f: ConcaveFunctional) -> float:
     return float(np.sum(f(np.asarray(values, dtype=float))))
 
 
-def majorizes(a, b, tol: float = MAJORIZATION_TOL) -> bool:
-    """True iff every descending partial sum of ``a`` dominates ``b`` - tol."""
-    return partial_sum_deficit(a, b) <= tol
-
-
 def partial_sum_deficit(a, b) -> float:
     """max_m (sum_{i<=m} b_i - sum_{i<=m} a_i); <= 0 means a majorizes b."""
     a = np.sort(np.asarray(a, dtype=float))[::-1]
@@ -142,27 +137,13 @@ def partial_sum_deficit(a, b) -> float:
     return float(np.max(np.cumsum(cb) - np.cumsum(ca)))
 
 
-def concave_order_agrees(a, b, tol: float = 1e-12) -> bool:
-    """Threshold-family criterion: sum min(a_i, t) <= sum min(b_i, t) for all
-    t in the union of component values (sufficient for piecewise-linear
-    comparison at equal totals)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ts = np.union1d(a, b)
-    ts = ts[ts > 0]
-    sa = np.minimum(a[:, None], ts[None, :]).sum(axis=0)
-    sb = np.minimum(b[:, None], ts[None, :]).sum(axis=0)
-    return bool((sa <= sb + tol).all())
-
-
 # ---------------------------------------------------------------------------
 # Probe sets and sampling.
 # ---------------------------------------------------------------------------
 
-def default_pure_probes(space: fock.FockSpace,
-                        include_coherent: bool = True) -> list[tuple[str, fock.PureState]]:
-    """Deterministic one-mode probes: Fock states, balanced superpositions,
-    and (optionally) small coherent states."""
+def default_pure_probes(space: fock.FockSpace) -> list[tuple[str, fock.PureState]]:
+    """Deterministic one-mode probes: two Fock states and two balanced
+    superpositions."""
     d = space.cutoff
     probes = [
         ("fock(1)", fock.number_state(space, 1)),
@@ -175,9 +156,6 @@ def default_pure_probes(space: fock.FockSpace,
     amp[1] = 1 / np.sqrt(2)
     amp[2] = 1j / np.sqrt(2)
     probes.append(("(|1>+i|2>)/sqrt2", fock.pure_state(space, amp)))
-    if include_coherent:
-        probes.append(("coherent(0.5)", fock.coherent_state(0.5, space)))
-        probes.append(("coherent(0.5i)", fock.coherent_state(0.5j, space)))
     return probes
 
 
@@ -260,19 +238,18 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _seeded_draw(evaluate, seed: int, index: int, space: fock.FockSpace, support: int,
-                 budget: float, max_retries: int = 8):
-    """Draw sample ``index`` of ``seed`` (retry r uses the seed triple
+def _seeded_draw(evaluate, seed: int, index: int, space: fock.FockSpace, support: int):
+    """Draw sample ``index`` of ``seed`` (retry r < 8 uses the seed triple
     (seed, index, r)) until ``evaluate(psi) -> (result, leakage)`` leaks at
-    most ``budget``; returns (result, leakage, retries)."""
-    for retry in range(max_retries):
+    most :data:`LEAKAGE_BUDGET`; returns (result, leakage, retries)."""
+    for retry in range(8):
         psi = fock.random_pure_state([int(seed), int(index), retry], space, support=support)
         result, lk = evaluate(psi)
-        if lk <= budget:
+        if lk <= LEAKAGE_BUDGET:
             return result, lk, retry
     raise TruncationLeakage(
-        f"sample ({seed}, {index}) exceeded leakage budget {budget:.1e} "
-        f"after {max_retries} retries"
+        f"sample ({seed}, {index}) exceeded leakage budget {LEAKAGE_BUDGET:.1e} "
+        "after 8 retries"
     )
 
 
@@ -284,9 +261,7 @@ def _output_spectrum(realized: fock.FockChannel,
 
 
 def optimality_sweep(ch: GaugeCovariantChannel, fs, n_samples: int, seed: int,
-                     cutoff: int = 40, sample_support: int = 4,
-                     include_coherent_probes: bool = True,
-                     threads: int = 1) -> list[OptimalityReport]:
+                     cutoff: int = 40) -> list[OptimalityReport]:
     """Search for inputs beating the vacuum on Tr f of the channel output,
     one report per functional f in ``fs``.
 
@@ -295,11 +270,7 @@ def optimality_sweep(ch: GaugeCovariantChannel, fs, n_samples: int, seed: int,
     :func:`optimality_reports`; the gap ``min sampled value - vacuum value``
     should never be significantly negative.
     """
-    sweep = majorization_sweep(ch, n_samples, seed, cutoff=cutoff,
-                               sample_support=sample_support,
-                               include_coherent_probes=include_coherent_probes,
-                               threads=threads)
-    return optimality_reports(sweep, fs)
+    return optimality_reports(majorization_sweep(ch, n_samples, seed, cutoff=cutoff), fs)
 
 
 def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
@@ -327,8 +298,6 @@ def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
 
 def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
                        cutoff: int = 40, sample_support: int = 4,
-                       tol: float = MAJORIZATION_TOL,
-                       include_coherent_probes: bool = False,
                        threads: int = 1) -> SweepReport:
     """Check that the vacuum-output spectrum majorizes every sampled output.
 
@@ -336,7 +305,9 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
     probes and ``n_samples`` seeded samples (each redrawn until it leaks
     at most the budget) are computed once and kept on the report for
     :func:`optimality_reports`.  Leakage mass is left as a zero tail (never
-    renormalized), which only lowers the sampled partial sums.
+    renormalized), which only lowers the sampled partial sums.  The worst
+    input is the first to reach the largest deficit, and none ("") when that
+    deficit is within :data:`MAJORIZATION_TOL`.
     """
     space = fock.FockSpace(ch.modes, cutoff)
     realized = fock.realize_channel(ch, space)
@@ -344,11 +315,11 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
     vac, _ = spectrum_of(fock.vacuum_state(space))
     inputs = []  # (seed tag, label, spectrum, leakage)
     if ch.modes == 1:
-        for tag, probe in default_pure_probes(space, include_coherent_probes):
+        for tag, probe in default_pure_probes(space):
             inputs.append(("probe", tag, *spectrum_of(probe)))
 
     def draw(idx: int) -> tuple[str, np.ndarray, float, int]:
-        lam, lk, retry = _seeded_draw(spectrum_of, seed, idx, space, sample_support, LEAKAGE_BUDGET)
+        lam, lk, retry = _seeded_draw(spectrum_of, seed, idx, space, sample_support)
         tag = f"haar[{seed},{idx}]" if retry == 0 else f"haar[{seed},{idx},{retry}]"
         return tag, lam, lk, retry
 
@@ -361,75 +332,23 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
                               value=deficit, gap=deficit, leakage=lk))
     worst_deficit, worst_input = max(((r.value, r.label) for r in rows),
                                      key=lambda vt: vt[0], default=(-np.inf, ""))
-    return SweepReport(passes=sum(r.value <= tol for r in rows), total=len(rows),
+    if worst_deficit <= MAJORIZATION_TOL:  # round-off names no input
+        worst_input = ""
+    return SweepReport(passes=sum(r.value <= MAJORIZATION_TOL for r in rows), total=len(rows),
                        worst_deficit=worst_deficit, worst_input=worst_input, seed=seed,
                        rejected=sum(retries for *_, retries in samples),
                        rows=tuple(rows), vacuum_spectrum=vac,
                        spectra=tuple(lam for _, _, lam, _ in inputs))
 
 
-def optimize_input(ch: GaugeCovariantChannel, f: ConcaveFunctional,
-                   init: fock.PureState, max_iters: int = 60,
-                   step: float = 0.1, support: int | None = None,
-                   leakage_budget: float = LEAKAGE_BUDGET) -> tuple[fock.PureState, float]:
-    """Greedy coordinate descent on Tr f(channel output) over pure inputs.
-
-    Perturbs real/imaginary amplitude components (on the leading ``support``
-    levels) with renormalization and keeps strict improvements; the step
-    halves when a full pass stalls.  Candidates whose output leaks past the
-    budget are rejected, so truncation cannot masquerade as low entropy.
-    A counterexample hunter, not a global optimizer.
-    """
-    space = init.space
-    realized = fock.realize_channel(ch, space)
-    if support is None:
-        support = min(8, space.dim)
-
-    def value_of(vec: np.ndarray) -> float:
-        lam, lk = _output_spectrum(realized, fock.PureState(space=space, amplitudes=vec))
-        if lk > leakage_budget:
-            return np.inf
-        return trace_functional(lam, f)
-
-    best_vec = init.amplitudes.copy()
-    best_val = value_of(best_vec)
-    for _ in range(max_iters):
-        improved = False
-        for idx in range(support):
-            for delta in (step, -step, 1j * step, -1j * step):
-                cand = best_vec.copy()
-                cand[idx] += delta
-                cand /= np.linalg.norm(cand)
-                val = value_of(cand)
-                if val < best_val - 1e-12:
-                    best_vec, best_val = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-4:
-                break
-    return fock.pure_state(space, best_vec), best_val
-
-
-def coherent_fit(psi: fock.PureState) -> tuple[complex, float]:
-    """Best coherent amplitude (= <a>) and the fidelity to that coherent state."""
-    d = psi.space.cutoff
-    a = fock.annihilation(d)
-    zeta = complex(psi.amplitudes.conj() @ (a @ psi.amplitudes))
-    target = fock.coherent_state(zeta, psi.space)
-    fid = abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2
-    return zeta, float(fid)
-
-
 def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
-                     cutoff: int = 40, coherent_cutoff: int = 80,
-                     coherent_amplitude: complex = 0.7) -> StrictGapReport:
+                     cutoff: int = 40) -> StrictGapReport:
     """Gaps of non-coherent probes over the vacuum value.
 
     Requires a strictly concave functional and a channel satisfying one of
     the two strict-minimizer conditions; the observed gaps are reported
-    without an a-priori threshold.  A coherent probe is evaluated at a
-    higher cutoff as the equality sanity check.
+    without an a-priori threshold.  The coherent probe coherent(0.7) is
+    evaluated at cutoff max(cutoff, 80) as the equality sanity check.
     """
     if not f.strictly_concave:
         raise ConditionNotMet(f"{f.label} is not strictly concave")
@@ -442,22 +361,21 @@ def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
     space = fock.FockSpace(ch.modes, cutoff)
     realized = fock.realize_channel(ch, space)
     vac = value_of(realized, fock.vacuum_state(space))
-    coh = fock.coherent_state(coherent_amplitude, space)
+    coh = fock.coherent_state(0.7, space)
     dephased = fock.FockOperator(space=space,
                                  matrix=np.diag(np.abs(coh.amplitudes) ** 2).astype(complex))
-    probes = [(tag, "pure", probe)
-              for tag, probe in default_pure_probes(space, include_coherent=False)]
+    probes = [(tag, "pure", probe) for tag, probe in default_pure_probes(space)]
     probes += [("thermal(0.3)", "mixed", fock.thermal_state(0.3, space)),
                ("dephased-coherent(0.7)", "mixed", dephased)]
     rows = []
     for tag, kind, probe in probes:
         v = value_of(realized, probe)
         rows.append(StrictGapRow(label=tag, kind=kind, value=v, gap=v - vac))
-    big_space = fock.FockSpace(ch.modes, max(cutoff, coherent_cutoff))
+    big_space = fock.FockSpace(ch.modes, max(cutoff, 80))
     big = fock.realize_channel(ch, big_space)
     vac_big = value_of(big, fock.vacuum_state(big_space))
-    coh_value = value_of(big, fock.coherent_state(coherent_amplitude, big_space))
-    rows.append(StrictGapRow(label=f"coherent({coherent_amplitude})", kind="coherent",
+    coh_value = value_of(big, fock.coherent_state(0.7, big_space))
+    rows.append(StrictGapRow(label="coherent(0.7)", kind="coherent",
                              value=coh_value, gap=coh_value - vac_big))
     min_gap = min(r.gap for r in rows if r.kind != "coherent")
     return StrictGapReport(vacuum_value=vac, min_gap=min_gap,
@@ -472,12 +390,11 @@ def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
 
 def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float,
                     n_samples: int, seed: int, cutoff: int = 30,
-                    sample_support: int = 3,
-                    leakage_budget: float = LEAKAGE_BUDGET,
                     threads: int = 1) -> AdditivityReport:
     """Fock check of nu_p(a (x) b) = nu_p(a) nu_p(b) on entangled inputs.
 
-    Samples Haar two-mode pure states with bounded occupation, applies
+    Samples Haar two-mode pure states occupying at most 3 levels per mode,
+    redrawn past :data:`LEAKAGE_BUDGET`, applies
     a (x) b stage by stage, per mode, computes Tr out^p with
     :func:`gausslab.fock.trace_power` and compares it to the closed-form
     bound; vacuum (x) vacuum must attain it.
@@ -494,7 +411,7 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
 
     vacuum_value, _ = purity_of(fock.vacuum_state(space))
     outcomes = parallel_map(
-        lambda idx: _seeded_draw(purity_of, seed, idx, space, sample_support, leakage_budget),
+        lambda idx: _seeded_draw(purity_of, seed, idx, space, 3),
         range(n_samples), threads)
     rows = []
     rejected = 0

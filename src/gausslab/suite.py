@@ -21,7 +21,6 @@ from .channels import (
     attenuator_channel,
     classical_noise_channel,
     classify,
-    concatenate,
     decompose,
     random_channel,
 )

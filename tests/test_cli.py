@@ -103,6 +103,17 @@ class TestReports:
         assert report["version"]
         assert report["config"]["command"] == "purity"
 
+    def test_reports_carry_no_constant_fields(self, tmp_path, files):
+        # no report echoes an output format nothing can set, and the Wehrl
+        # sweep, which never redraws an input, reports no redraw count
+        reports = [run_to_file(tmp_path, argv) for argv in (
+            ["purity", files["amp_sqrt2"], "--p", "2"],
+            ["majorize", files["att07"], "--samples", "2", "--seed", "1"],
+            ["wehrl", "--samples", "1", "--seed", "1", "--grid-step", "0.2"])]
+        assert [code for code, _ in reports] == [0, 0, 0]
+        assert all("format" not in report["config"] for _, report in reports)
+        assert set(reports[-1][1]["leakage"]) == {"max_tail_mass"}
+
 
 class TestSweepCommands:
     def test_majorize_passes_and_is_deterministic(self, tmp_path, files):

@@ -13,6 +13,8 @@ from gausslab.errors import (
     QuadratureError,
     TailMassTooLarge,
 )
+from gausslab.husimi import BerezinLiebFields
+from gausslab.majorization import ConcaveFunctional
 
 VN = mj.von_neumann_functional()
 
@@ -453,13 +455,21 @@ class TestBerezinLieb:
                 hu.berezin_lieb_fields(fock.number_state(space, 20), 2.0, 0.5, 0.5, small), VN)
 
 
+def smoothing_deviation(fields: BerezinLiebFields, f: ConcaveFunctional) -> float:
+    """| int f(p) - int f(p * q_{a0'/c^2}) |, the quantity driven to zero by
+    large c in the smoothing limit."""
+    grid = fields.grid
+    return abs(grid.integrate(np.asarray(f(fields.p_in)))
+               - grid.integrate(np.asarray(f(fields.smoothed))))
+
+
 class TestSmoothingLimit:
     def test_deviation_decreases_with_c(self, grid, space):
         poly = mj.polygonal_functional(((0.0, 0.0), (0.2, 0.5), (0.6, 0.8), (1.0, 0.9)))
         probes = [fock.vacuum_state(space), fock.number_state(space, 1),
                   fock.coherent_state(0.7, space)]
         for probe in probes:
-            devs = [hu.smoothing_deviation(hu.berezin_lieb_fields(probe, c, 0.5, 0.5, grid),
+            devs = [smoothing_deviation(hu.berezin_lieb_fields(probe, c, 0.5, 0.5, grid),
                                            poly)
                     for c in (1.5, 2.0, 3.0)]
             assert devs[0] > devs[1] > devs[2]

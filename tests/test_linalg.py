@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 import scipy.linalg as sla
 from scipy.special import gammaincc, gammaln, xlog1py, xlogy
+from conftest import annihilation, displacement_matrix
 
 from gausslab import _linalg, fock
 
@@ -78,10 +79,10 @@ def test_next_fast_len_matches_scipy():
 
 def test_unitary_expm_matches_scipy_expm():
     space = fock.FockSpace(1, 40)
-    a = fock.annihilation(space.cutoff)
+    a = annihilation(space.cutoff)
     z = 1.1 - 0.7j
     reference = sla.expm(z * a.conj().T - np.conj(z) * a)
-    assert np.abs(fock.displacement_matrix(z, space).matrix - reference).max() < 1e-13
+    assert np.abs(displacement_matrix(z, space).matrix - reference).max() < 1e-13
     d, theta = 6, 0.8
     u = fock.beamsplitter_unitary(theta, fock.FockSpace(2, d)).matrix
     for total in range(2 * d - 1):
