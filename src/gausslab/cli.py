@@ -3,12 +3,16 @@
 Subcommands: validate, classify, decompose, entropy, purity, majorize,
 additivity, strictgap, wehrl, berezinlieb, selftest.
 
-Exit codes: 0 success / all assertions pass; 2 assertion failure (report
-carries the worst offender); 1 usage or IO error.  Reports are JSON
-(sorted keys, LF endings) and embed the configuration echo, the library
-version, the tolerances in force, and truncation-leakage statistics, so a
-repeated run with the same configuration is byte-identical.  Randomized
-commands require an explicit --seed; there is no wall-clock default.
+Exit codes (:data:`EXIT_CODES`): 0 success / all assertions pass; 1 usage
+or IO error; 2 a failed assertion (the report carries the worst offender)
+or any other library error, such as an invalid channel (``InvalidNoise``),
+a channel the Fock oracle cannot realize (``NotDiagonal``) or an exceeded
+truncation budget (``TruncationLeakage``, ``TailMassTooLarge``).  Reports
+are JSON (sorted keys, LF endings) and embed the configuration echo, the
+library version, the tolerances in force, and truncation-leakage
+statistics, so a repeated run with the same configuration is
+byte-identical.  Randomized commands require an explicit --seed; there is
+no wall-clock default.
 """
 
 from __future__ import annotations
@@ -479,6 +483,19 @@ _HANDLERS = {
 }
 
 
+# Exit code of each error a command may raise, looked up along the error's
+# class hierarchy: usage and IO errors exit 1, every other library error 2,
+# as a failed verdict does.
+EXIT_CODES = {
+    FileFormatError: 1,
+    UsageError: 1,
+    DimensionTooLarge: 1,
+    FileNotFoundError: 1,
+    IsADirectoryError: 1,
+    GaussLabError: 2,
+}
+
+
 def run(argv=None) -> int:
     """Parse arguments, dispatch, emit the report; returns the exit code."""
     try:
@@ -489,13 +506,12 @@ def run(argv=None) -> int:
         if getattr(args, "threads", 1) is None:
             args.threads = _threads_default()
         report, passed = _HANDLERS[args.command](args)
-    except (FileFormatError, UsageError, DimensionTooLarge, FileNotFoundError,
-            IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except GaussLabError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except tuple(EXIT_CODES) as exc:
+        code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
+        # a usage or IO error states itself; other errors also name their class
+        print(f"error: {exc}" if code == 1 else f"error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return code
     _emit(report, getattr(args, "out", None))
     status = "ok" if passed else "FAILED"
     _summarize(f"gausslab {args.command}: {status}")

@@ -23,15 +23,22 @@ bands do not overlap, so a stage is stored as its band sum
 maps each diagonal ``rho[n, n+k]`` into the same output diagonal, so a
 channel given per mode as a gauge phase and its stages (attenuator, then
 amplifier) acts diagonal by diagonal: the phase multiplies diagonal k by
-``e^{-i phase k}`` and each stage multiplies it by a matrix read off G.  An
-input occupying the first s levels of a mode has nonzero diagonals only for
-|k| < s, so only those are multiplied, by the first s columns of the stage
-matrices.  Band sums sit in an LRU cache.  The output keeps that structure:
-it is nonzero only on the diagonals |m_j - n_j| < s of each mode, and only
-in the first s levels of a mode behind an attenuator alone.  One scan of an operator's nonzero mask reads
-both, per mode the occupied box and the diagonal width; applies crop a
-mixed input to its box, trace powers are formed on the occupied diagonals,
-and spectra eigensolve the box's block alone and pad it with zeros.
+``e^{-i phase k}`` and each stage multiplies it by a matrix read off G.
+Band sums sit in an LRU cache.
+
+Operators are stored the same way.  A :class:`FockOperator` holds its
+occupied photon-number diagonals ``Y[k, x] = rho[x, x + k]`` over per-mode
+offsets |k_j| < w_j and rows x_j < b_j, with the box b and the width w of
+each mode; every entry outside them is zero.  An input occupying the first
+s levels of a mode has box and width at most s there.  The stage kernel maps
+Y to the output's Y: a mode's stages act on its axes (k_j, x_j) as one real
+batched product, with the other modes' axes as columns, and the width is
+kept; the amplifier fills the box to the cutoff, the attenuator keeps it.
+Consumers read Y: the leakage sums its k = 0 diagonal, trace powers are sums
+over it and its banded square, and spectra eigensolve the dense block of the
+box alone and pad it with zeros.  The dense matrix is derived on demand.  An
+operator built from a dense matrix outside the kernel (thermal states,
+probes, tests) is read into that form by one scan of its nonzero mask.
 
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
@@ -91,10 +98,48 @@ class PureState:
     amplitudes: np.ndarray
 
 
-@dataclass(frozen=True)
 class FockOperator:
-    space: FockSpace
-    matrix: np.ndarray
+    """An operator on a Fock space, stored as its occupied photon-number
+    diagonals: ``diagonals[k..., x...] = rho[x, x + k]`` (read-only), with
+    one offset axis per mode first, index i for offset k_j = i - (w_j - 1),
+    |k_j| < w_j, then one row axis per mode, x_j < b_j.  ``boxes`` are the
+    b_j and ``widths`` the w_j; every entry of rho outside them is zero, and
+    so is every stored entry whose column x + k leaves the box.  Regrouping
+    the offset axes by k_1 + k_2 gives the total-photon-number offsets.
+
+    ``FockOperator(space, matrix)`` reads a dense matrix into this form with
+    one :func:`_structure` scan; channel outputs come from
+    :meth:`from_diagonals`.  :attr:`matrix` is derived on each access."""
+
+    __slots__ = ("space", "diagonals", "boxes", "widths")
+
+    def __init__(self, space: FockSpace, matrix):
+        m = np.ascontiguousarray(matrix, dtype=np.complex128)
+        if m.shape != (space.dim, space.dim):
+            raise DimensionMismatch(f"expected a {space.dim} x {space.dim} matrix, got {m.shape}")
+        boxes, widths = _structure(m, space)
+        block = m.reshape((space.cutoff,) * (2 * space.modes))[
+            tuple(slice(b) for b in boxes) * 2]
+        self._set(space, _gather(block, widths), boxes, widths)
+
+    @classmethod
+    def from_diagonals(cls, space: FockSpace, diagonals: np.ndarray,
+                       boxes: tuple[int, ...], widths: tuple[int, ...]) -> FockOperator:
+        op = cls.__new__(cls)
+        op._set(space, diagonals, boxes, widths)
+        return op
+
+    def _set(self, space, diagonals, boxes, widths):
+        self.space, self.diagonals = space, _readonly(diagonals)
+        self.boxes, self.widths = tuple(boxes), tuple(widths)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense dim x dim matrix, built anew on each access."""
+        d, modes = self.space.cutoff, self.space.modes
+        out = np.zeros((d,) * (2 * modes), dtype=np.complex128)
+        out[tuple(slice(b) for b in self.boxes) * 2] = _box_block(self).reshape(self.boxes * 2)
+        return out.reshape(self.space.dim, self.space.dim)
 
 
 @dataclass(frozen=True)
@@ -224,23 +269,66 @@ def random_pure_state(seed, space: FockSpace, support: int | None = None) -> Pur
     return PureState(space=space, amplitudes=amp / np.linalg.norm(amp))
 
 
+def _center(widths: tuple[int, ...]) -> tuple[int, ...]:
+    """The index of offset 0 on the offset axes of a diagonal form."""
+    return tuple(w - 1 for w in widths)
+
+
 def leakage(rho: FockOperator) -> float:
-    """Probability mass pushed past the cutoff: 1 - Tr rho."""
-    return float(1.0 - np.real(np.trace(rho.matrix)))
+    """Probability mass pushed past the cutoff: 1 - Tr rho, the sum of the
+    k = 0 diagonal."""
+    return float(1.0 - np.real(np.sum(rho.diagonals[_center(rho.widths)])))
+
+
+def _padded_box(boxes: tuple[int, ...], widths: tuple[int, ...]):
+    """A zero box block whose column axes are padded by w_j - 1 on both
+    sides, and the index of the box's columns in it."""
+    padded = np.zeros(boxes + tuple(b + 2 * w - 2 for b, w in zip(boxes, widths)),
+                      dtype=np.complex128)
+    return padded, (slice(None),) * len(boxes) + tuple(
+        slice(w - 1, w - 1 + b) for b, w in zip(boxes, widths))
+
+
+def _diagonal_view(padded: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """V[k..., x...] = padded[x..., x + k + w - 1...]: the diagonal form's
+    entries inside a :func:`_padded_box`, as one writeable strided view.
+    Distinct (k, x) are distinct entries, and a column that leaves the box
+    lands in the padding."""
+    modes = len(widths)
+    strides = padded.strides
+    return np.ndarray(tuple(2 * w - 1 for w in widths) + padded.shape[:modes], padded.dtype,
+                      padded, 0, strides[modes:] + tuple(strides[j] + strides[modes + j]
+                                                         for j in range(modes)))
+
+
+def _gather(block: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """The diagonal form of a dense box block, axes (x..., column...)."""
+    padded, box = _padded_box(block.shape[:len(widths)], widths)
+    padded[box] = block
+    return _diagonal_view(padded, widths).copy()
+
+
+def _box_block(rho: FockOperator) -> np.ndarray:
+    """The dense block of rho on its box, as a prod(boxes)-square matrix:
+    the inverse of :func:`_gather`, and the only dense form of rho that
+    :func:`spectrum` and :func:`trace_power` build."""
+    padded, box = _padded_box(rho.boxes, rho.widths)
+    _diagonal_view(padded, rho.widths)[...] = rho.diagonals
+    size = int(np.prod(rho.boxes))
+    return padded[box].reshape(size, size)
 
 
 def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(boxes, widths) of a contiguous complex128 operator, from one scan of
+    """(boxes, widths) of a contiguous complex128 matrix, from one scan of
     its nonzero mask.  Per mode j, over the nonzero entries
     m[(m_1, m_2), (n_1, n_2)]: the box is one past the highest level m_j or
     n_j that any of them touches, so every entry outside the box is zero,
     and the width is one past the largest |m_j - n_j|.  The operator is
     Fock-diagonal exactly when every width is 1; the zero operator has box
-    and width 1.  By gauge covariance a channel output of an input that
-    occupies s levels of a mode has width at most s there, and box s behind
-    an attenuator alone.  Each entry's (real, imaginary) pair of mask bytes
-    is read as one uint16, and the mask is reduced over the other mode's
-    axes leading axis first (the fast order)."""
+    and width 1.  Only a matrix built outside the stage kernel is scanned
+    (:class:`FockOperator`).  Each entry's (real, imaginary) pair of mask
+    bytes is read as one uint16, and the mask is reduced over the other
+    mode's axes leading axis first (the fast order)."""
     d, modes = space.cutoff, space.modes
     nonzero = ((m.view(np.float64) != 0).view(np.uint16) != 0).reshape((d,) * (2 * modes))
     boxes, widths = [], []
@@ -254,18 +342,13 @@ def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[
     return tuple(boxes), tuple(widths)
 
 
-def _box_spectrum(m: np.ndarray, space: FockSpace, boxes: tuple[int, ...],
-                  widths: tuple[int, ...]) -> np.ndarray:
-    """:func:`spectrum` of m, given its :func:`_structure`."""
-    d, modes = space.cutoff, space.modes
-    box = tuple(slice(b) for b in boxes)
-    diagonal = max(widths) == 1
-    block = (np.diagonal(m).reshape((d,) * modes)[box].ravel() if diagonal
-             else m.reshape((d,) * (2 * modes))[box * 2].reshape(np.prod(boxes), -1))
-    # every entry outside the box is zero, so these checks cover the operator
+def _checked_spectrum(block: np.ndarray, dim: int) -> np.ndarray:
+    """:func:`spectrum` of an operator from its dense box block, or from its
+    diagonal (1-D ``block``) when it is Fock-diagonal."""
+    # every entry outside the block is zero, so these checks cover the operator
     if not np.isfinite(block).all():
         raise InvalidState("operator has a non-finite entry")
-    if diagonal:  # |m - m^dag| is 2 |Im m[n, n]|
+    if block.ndim == 1:  # |m - m^dag| is 2 |Im m[n, n]|
         defect = 2.0 * float(np.abs(block.imag).max())
         w = np.sort(block.real)[::-1]
     else:  # one adjoint copy for the defect and the Hermitian part
@@ -276,23 +359,23 @@ def _box_spectrum(m: np.ndarray, space: FockSpace, boxes: tuple[int, ...],
         raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
     if not w[-1] >= -1e-8:  # before padding, which puts zeros last
         raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -1.0e-08")
-    if len(w) < len(m):
-        w = np.concatenate([w, np.zeros(len(m) - len(w))])
+    if len(w) < dim:
+        w = np.concatenate([w, np.zeros(dim - len(w))])
     return np.clip(w, 0.0, None)
 
 
 def spectrum(rho: FockOperator) -> np.ndarray:
     """Real eigenvalues, descending; negatives above -1e-8 are set to 0.
 
-    Only the operator's occupied box (:func:`_structure`) is read: it is
-    checked for finite entries and Hermiticity there, and its block alone is
+    Only the operator's occupied box is read: it is checked for finite
+    entries and Hermiticity there, and its dense block alone is built and
     eigensolved, the rest of the spectrum being zeros.  The two-mode output
     of a support-s input behind an attenuator on one mode is an s d block,
     not d^2.  A Fock-diagonal operator's spectrum is read off its diagonal.
     Raises InvalidState on a non-finite entry or an eigenvalue below -1e-8,
     NotHermitian on a Hermiticity defect above 1e-10."""
-    m = np.ascontiguousarray(rho.matrix, dtype=np.complex128)
-    return _box_spectrum(m, rho.space, *_structure(m, rho.space))
+    block = rho.diagonals.ravel() if max(rho.widths) == 1 else _box_block(rho)
+    return _checked_spectrum(block, rho.space.dim)
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -312,74 +395,67 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 _ELEMENTWISE_COST = 32
 
 
-def _banded_square(m: np.ndarray, widths: tuple[int, ...], d: int):
-    """(Y, S): the occupied photon-number diagonals of m and of m @ m.
+def _banded_square(Y: np.ndarray, widths: tuple[int, ...], reach: tuple[int, ...]):
+    """(Y, S): an operator's diagonal form, on a padded grid, and that of
+    its square up to offsets |k_j| <= reach_j.
 
-    Y[k, x] = m[x, x + k] for per-mode offsets |k_j| < w_j, zero where
-    x + k leaves the cutoff, with x stored at x_j + w_j - 1 of a grid padded
-    by w_j - 1 on both sides and flattened, so that shifting x by an offset
-    a is shifting the flat index by one number.  The square's entry
-    (x, x + a + c) sums m[x, x + a] m[x + a, x + a + c] over a: per offset
-    a, one multiply-add of Y[a] into every S[a + c], prod_j (2 w_j - 1) of them.
-    S holds offsets |k_j| < 2 w_j - 1; index i of an offset axis is offset
-    i - (w_j - 1) in Y and i - 2 (w_j - 1) in S."""
+    Y holds offsets |k_j| < w_j (see :class:`FockOperator`); here each row
+    axis is padded by w_j - 1 on both sides and the grid flattened, so that
+    shifting x by an offset a is shifting the flat index by one number.  The
+    square's entry (x, x + a + c) sums m[x, x + a] m[x + a, x + a + c] over
+    a: per offset a, one multiply-add of Y[a] into S[a + c] for every c with
+    |a_j + c_j| <= reach_j.  Index i of an offset axis is offset i - (w_j - 1)
+    in Y and i - reach_j in S; the square's own reach is 2 w_j - 2."""
     modes = len(widths)
-    rho = m.reshape((d,) * (2 * modes))
-    x = np.arange(d)
-    rows, cols, inside = [], [], True
-    for j, w in enumerate(widths):
-        at_k, at_x = [1] * (2 * modes), [1] * (2 * modes)
-        at_k[j] = at_x[modes + j] = -1
-        row = x.reshape(at_x)
-        col = row + np.arange(1 - w, w).reshape(at_k)
-        inside = inside & (col >= 0) & (col < d)
-        rows.append(row)
-        cols.append(np.clip(col, 0, d - 1))
-    Y = np.pad(np.where(inside, rho[tuple(rows + cols)], 0),
-               [(0, 0)] * modes + [(w - 1, w - 1) for w in widths])
+    Y = np.pad(Y, [(0, 0)] * modes + [(w - 1, w - 1) for w in widths])
     offsets, grid = Y.shape[:modes], Y.shape[modes:]
     Y = Y.reshape(offsets + (-1,))
     n = Y.shape[-1]
     strides = [int(np.prod(grid[j + 1:])) for j in range(modes)]
-    S = np.zeros(tuple(2 * k - 1 for k in offsets) + (n,), dtype=np.complex128)
+    S = np.zeros(tuple(2 * r + 1 for r in reach) + (n,), dtype=np.complex128)
     for a in np.ndindex(*offsets):
         shift = sum((i - w + 1) * stride for i, w, stride in zip(a, widths, strides))
         lo, hi = max(0, -shift), n - max(0, shift)
-        window = tuple(slice(i, i + k) for i, k in zip(a, offsets))
-        S[window + (slice(lo, hi),)] += Y[a + (slice(lo, hi),)] * Y[..., lo + shift:hi + shift]
+        # the Y index c whose a + c is S index 0, then the c that land in S
+        base = [2 * w - 2 - r - i for i, w, r in zip(a, widths, reach)]
+        c = tuple(slice(max(0, o), min(2 * w - 1, o + 2 * r + 1))
+                  for o, w, r in zip(base, widths, reach))
+        window = tuple(slice(k.start - o, k.stop - o) for k, o in zip(c, base))
+        S[window + (slice(lo, hi),)] += (Y[a + (slice(lo, hi),)]
+                                         * Y[c + (slice(lo + shift, hi + shift),)])
     return Y, S
 
 
 def trace_power(rho: FockOperator, p: float) -> float:
     """Tr rho^p of a state.  Orders 2, 3 and 4 first pass :func:`spectrum`'s
     checks on the diagonal alone: finite, real and not below -1e-8.  Order 2
-    is then sum |rho|^2.  Orders 3 and 4 of an operator with off-diagonal
-    entries come from its occupied photon-number diagonals
-    (:func:`_structure`): Re sum((rho @ rho) * conj(rho)) and sum |rho @ rho|^2,
-    with the square formed diagonal by diagonal (:func:`_banded_square`) or,
-    where that is dearer, as one dense product.  These forms take the operator
-    to be Hermitian, as every channel output is.  Any other order, and any
-    Fock-diagonal operator, sums :func:`spectrum` to the power p, with its
-    checks.  Raises InvalidState when the result is not finite."""
-    m, d = np.ascontiguousarray(rho.matrix, dtype=np.complex128), rho.space.cutoff
-    if p in (2, 3, 4):  # the diagonal's checks only: no scan, no eigensolve
-        _box_spectrum(m, rho.space, (d,) * rho.space.modes, (1,) * rho.space.modes)
+    is then sum |rho|^2 over the stored diagonals.  Orders 3 and 4 of an
+    operator with off-diagonal entries are Re sum((rho @ rho) * conj(rho))
+    and sum |rho @ rho|^2, with the square formed diagonal by diagonal
+    (:func:`_banded_square`) or, where that is dearer, as one dense product
+    of the box block.  These forms take the operator to be Hermitian, as
+    every channel output is.  Any other order, and any Fock-diagonal
+    operator, sums :func:`spectrum` to the power p, with its checks.  Raises
+    InvalidState when the result is not finite."""
+    Y, widths, d = rho.diagonals, rho.widths, rho.space.cutoff
+    if p in (2, 3, 4):  # the diagonal's checks only: no eigensolve
+        _checked_spectrum(Y[_center(widths)].ravel(), rho.space.dim)
     if p == 2:
-        value = _real_inner(m, m)
-    else:
-        boxes, widths = _structure(m, rho.space)
-        if p in (3, 4) and max(widths) > 1:
-            offsets = np.prod([2 * w - 1 for w in widths])
-            padded = np.prod([d + 2 * w - 2 for w in widths])
-            if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
-                Y, S = _banded_square(m, widths, d)
-                value = (_real_inner(S, S) if p == 4 else
-                         _real_inner(S[tuple(slice(w - 1, 3 * w - 2) for w in widths)], Y))
-            else:
-                square = m @ m
-                value = _real_inner(square, m if p == 3 else square)
+        value = _real_inner(Y, Y)
+    elif p in (3, 4) and max(widths) > 1:
+        offsets = np.prod([2 * w - 1 for w in widths])
+        padded = np.prod([d + 2 * w - 2 for w in widths])
+        if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
+            # order 3 reads the square on the operator's own offsets only
+            reach = tuple((w - 1) * (1 if p == 3 else 2) for w in widths)
+            Y, S = _banded_square(Y, widths, reach)
+            value = _real_inner(S, S if p == 4 else Y)
         else:
-            value = float(np.sum(_box_spectrum(m, rho.space, boxes, widths) ** p))
+            block = _box_block(rho)
+            square = block @ block
+            value = _real_inner(square, block if p == 3 else square)
+    else:
+        value = float(np.sum(spectrum(rho) ** p))
     if not np.isfinite(value):
         raise InvalidState(f"Tr rho^{p:g} is not finite: {value}")
     return value
@@ -554,93 +630,76 @@ def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
 # Realization of gauge-covariant channels as per-mode phases and stages.
 # ---------------------------------------------------------------------------
 
-def _extent(occupied: np.ndarray) -> int:
-    """One past the last occupied level of a 1-D mask, at least 1."""
-    levels = np.flatnonzero(occupied)
-    return int(levels[-1]) + 1 if levels.size else 1
-
-
-def _occupied_block(state: PureState | FockOperator) -> np.ndarray:
-    """The input's density on its occupied box, axes [m1, (m2,) n1, (n2)]:
-    mode j keeps its first s_j levels, s_j one past the highest level any
-    nonzero entry touches (as a row or a column index), so every entry
-    outside the box is zero.  A pure state's box is read off its amplitudes
-    and only the box of its density is formed."""
-    d, modes = state.space.cutoff, state.space.modes
-    if isinstance(state, FockOperator):
-        m = np.ascontiguousarray(state.matrix, dtype=np.complex128)
-        boxes, _ = _structure(m, state.space)
-        return m.reshape((d,) * (2 * modes))[tuple(slice(b) for b in boxes) * 2]
-    x = state.amplitudes.reshape((d,) * modes)
+def _pure_diagonals(psi: PureState):
+    """(Y, boxes, widths) of a pure state's density, formed on the box of
+    its amplitudes only: per mode, the box is one past the highest occupied
+    level and the width one past the distance between the lowest and the
+    highest, as :func:`_structure` would read them off the density."""
+    d, modes = psi.space.cutoff, psi.space.modes
+    x = psi.amplitudes.reshape((d,) * modes)
     nonzero = x != 0
-    sub = x[tuple(slice(_extent(nonzero.any(axis=tuple(a for a in range(modes) if a != j))))
-                  for j in range(modes))]
-    return np.multiply.outer(sub, sub.conj())
+    boxes, widths = [], []
+    for j in range(modes):
+        levels = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(modes) if a != j)))
+        boxes.append(int(levels[-1]) + 1 if levels.size else 1)
+        widths.append(int(levels[-1] - levels[0]) + 1 if levels.size else 1)
+    sub = x[tuple(slice(b) for b in boxes)]
+    return _gather(np.multiply.outer(sub, sub.conj()), widths), tuple(boxes), tuple(widths)
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _cyclic_columns(d: int) -> np.ndarray:
-    """cols[k, n] = (n + k) % d: the column of entry n of cyclic diagonal k."""
-    n = np.arange(d)
-    return _readonly((n + n[:, None]) % d)
-
-
-def _apply_stages(phases, stages, block: np.ndarray, space: FockSpace) -> np.ndarray:
-    """The one channel-application path, on the input's occupied box (see
-    :func:`_occupied_block`).  Per mode, a gauge phase and a tuple of
-    quantum-limited stages (phase 0 and no stages leave the mode alone).
-    For a mode of support s, the only cyclic diagonals x[n, (n+k) % d] that
-    can be nonzero are |k| < s (k < s or k > d - s), and only for n < s:
-    each is gathered, multiplied by e^{-i phase (col - row)} and by each
-    stage's matrix, and scattered back; the other output diagonals stay
-    zero by gauge covariance.  A stage with band sum G maps cyclic diagonal
-    k by G * W[k] (see :attr:`OneModeChannelKraus.rolled_band_sum`), which
-    is blockdiag(S[k], S[d-k]) with S[k] = G[:d-k, :d-k] * G[k:, k:] (each
-    band keeps its shift): G is triangular, upper for the attenuator and
-    lower for the amplifier, so the cross blocks vanish.  The attenuator
-    keeps the row box s, the amplifier fills the cutoff; a mode that keeps
-    its box is cropped back to it while a later mode is still to be
-    processed.  G is real, so each stage is one real batched product on the
-    float view of the diagonals.  At full support s = d this is every
-    diagonal at full width."""
+def _apply_stages(phases, stages, y: np.ndarray, boxes: tuple[int, ...],
+                  widths: tuple[int, ...], space: FockSpace):
+    """The one channel-application path: the diagonal form y of the input
+    (see :class:`FockOperator`) to that of the output, and its boxes.  Per
+    mode, a gauge phase and a tuple of quantum-limited stages (phase 0 and
+    no stages leave the mode alone).  The mode's axes (k, x) lead, the
+    other modes' axes are the columns: the phase multiplies offset k by
+    e^{-i phase k}, and a stage with band sum G maps offset k by
+    G * W[k mod d] (see :attr:`OneModeChannelKraus.rolled_band_sum`), which
+    is blockdiag(S[c], S[d-c]) with S[c] = G[:d-c, :d-c] * G[c:, c:] (each
+    band keeps its shift), c = k mod d.  G is triangular, upper for the
+    attenuator and lower for the amplifier, so the cross blocks vanish, and
+    a diagonal's entries inside the cutoff map to entries inside it:
+    S[k] for k >= 0, S[-k] on rows -k.. for k < 0.  The columns are the
+    input's box, the rows are the box for the attenuator and the cutoff for
+    the amplifier.  G is real, so each stage is one real batched product on
+    the float view of the diagonals.  Widths are kept.  When the 2 w - 1
+    offsets outnumber the d cyclic diagonals, they are folded onto them
+    first, so no stage matrix is formed twice."""
     d, modes = space.cutoff, space.modes
-    levels, cols = np.arange(d), _cyclic_columns(d)
-    busy = [mode for mode in range(modes) if phases[mode] or stages[mode]]
-    x = block
+    boxes = list(boxes)
     for mode, (phase, mode_stages) in enumerate(zip(phases, stages)):
-        if mode not in busy:
+        if not (phase or mode_stages):
             continue
         order = (mode, modes + mode) + tuple(a for a in range(2 * modes) if a % modes != mode)
-        xm = x.transpose(order)  # [m, n, rest]
-        s, rest = xm.shape[0], xm.shape[2:]
-        full = 2 * s > d  # the 2s - 1 diagonals |k| < s are all d of them
-        ks = levels if full else np.concatenate([levels[:s], levels[d - s + 1:]])
-        if s < d:  # pad the column axis so the cyclic gather can index it
-            xm = np.concatenate([xm, np.zeros((s, d - s) + rest, dtype=xm.dtype)], axis=1)
-        kcols = cols[ks, :s]
-        y = xm[levels[:s], kcols].reshape(len(ks), s, -1)
+        w = widths[mode]
+        offsets = np.arange(1 - w, w)
+        ym = np.ascontiguousarray(y.transpose(order))
+        rest = ym.shape[2:]
+        ym = ym.reshape(len(offsets), boxes[mode], -1)
         if phase:
-            y *= np.exp(-1j * phase * (kcols - levels[:s]))[:, :, None]
-        rows = s
+            ym = ym * np.exp(-1j * phase * offsets)[:, None, None]
+        folded = len(offsets) > d
+        if folded:  # offsets k and k - d, on disjoint rows, share cyclic diagonal k
+            cyclic = np.zeros((d,) + ym.shape[1:], dtype=np.complex128)
+            cyclic[:w] = ym[w - 1:]
+            cyclic[d - w + 1:] += ym[:w - 1]
+            ym = cyclic
+        rows = boxes[mode]
         for stage in mode_stages:
             G, W = stage.band_sum, stage.rolled_band_sum
             width, rows = rows, d if stage.kind == "amplifier" else rows
-            M = W[ks, :rows, :width]
+            M = W[np.arange(d) if folded else offsets % d, :rows, :width]
             M *= G[:rows, :width]
-            y = (M @ y.view(np.float64)).view(np.complex128)
+            ym = (M @ ym.view(np.float64)).view(np.complex128)
             del M  # before the next stage allocates: two alive made full-support applies 2x slower
-        shape = list(x.shape)
-        shape[mode] = shape[modes + mode] = d
-        out = np.zeros(shape, dtype=np.complex128)
-        out.transpose(order)[levels[:rows], cols[ks, :rows]] = y.reshape((len(ks), rows) + rest)
-        x = out
-        if rows < d and mode != busy[-1]:  # the next mode's gather runs over this box only
-            box = [slice(None)] * (2 * modes)
-            box[mode] = box[modes + mode] = slice(rows)
-            x = out[tuple(box)]
-    if x.shape != (d,) * (2 * modes):  # a mode left alone keeps its box
-        x = np.pad(x, [(0, d - n) for n in x.shape])
-    return x.reshape(space.dim, space.dim)
+        if folded:  # each offset keeps the rows where its column stays inside the cutoff
+            inside = np.add.outer(offsets, np.arange(rows))
+            ym = np.where(((inside >= 0) & (inside < d))[:, :, None], ym[offsets % d], 0)
+        boxes[mode] = rows
+        y = ym.reshape((len(offsets), rows) + rest).transpose(
+            [order.index(a) for a in range(2 * modes)])
+    return np.ascontiguousarray(y), tuple(boxes)
 
 
 @dataclass(frozen=True)
@@ -664,11 +723,15 @@ class FockChannel:
 
     def apply(self, state: PureState | FockOperator) -> FockOperator:
         """The output of a pure state (through its density, formed on the
-        state's occupied box only) or an operator."""
+        state's occupied box only) or an operator, in diagonal form."""
         if state.space != self.space:
             raise DimensionMismatch("operator lives on a different space")
-        return FockOperator(space=self.space, matrix=_apply_stages(
-            self.phases, self.stages, _occupied_block(state), self.space))
+        if isinstance(state, FockOperator):
+            y, boxes, widths = state.diagonals, state.boxes, state.widths
+        else:
+            y, boxes, widths = _pure_diagonals(state)
+        y, boxes = _apply_stages(self.phases, self.stages, y, boxes, widths, self.space)
+        return FockOperator.from_diagonals(self.space, y, boxes, widths)
 
 
 def realize_channel(ch: GaugeCovariantChannel, space: FockSpace) -> FockChannel:

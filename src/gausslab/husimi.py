@@ -161,15 +161,14 @@ def _coherent_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _diagonals(rho: fock.FockOperator) -> np.ndarray:
-    """D[n, k] = h[n, n + k] sqrt(n! / (n + k)!) for n < s and k < w, the
-    occupied box s and width w of rho (:func:`fock._structure`), where
+    """D[n, k] = h[n, n + k] sqrt(n! / (n + k)!) for n < s and k < w, read
+    off the stored diagonals of rho (box s, width w), where
     h = (rho + rho^dag) / 2 and D is zero past the box (n + k >= s)."""
-    m = np.ascontiguousarray(rho.matrix, dtype=np.complex128)
-    (box,), (width,) = fock._structure(m, rho.space)
+    Y, (box,), (width,) = rho.diagonals, rho.boxes, rho.widths
     half_log_factorial = 0.5 * log_factorial(np.arange(box))
     out = np.zeros((box, width), dtype=np.complex128)
-    for k in range(width):
-        upper, lower = np.diagonal(m, k)[:box - k], np.diagonal(m, -k)[:box - k]
+    for k in range(width):  # rho[n, n + k] and rho[n + k, n]
+        upper, lower = Y[width - 1 + k, :box - k], Y[width - 1 - k, k:]
         out[:box - k, k] = 0.5 * (upper + lower.conj()) * np.exp(
             half_log_factorial[:box - k] - half_log_factorial[k:])
     return out
@@ -226,7 +225,7 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("husimi evaluation is one-mode")
     if any(s.space != space for s in states):
         raise DimensionMismatch("batched husimi evaluation needs states on one space")
-    if not all(np.isfinite(s.amplitudes if isinstance(s, fock.PureState) else s.matrix).all()
+    if not all(np.isfinite(s.amplitudes if isinstance(s, fock.PureState) else s.diagonals).all()
                for s in states):
         raise InvalidState("husimi evaluation of a state with a non-finite entry")
     z_flat = np.asarray(z_nodes, dtype=np.complex128).ravel()
@@ -272,7 +271,8 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
 def _occupation_probabilities(state) -> np.ndarray:
     if isinstance(state, fock.PureState):
         return np.abs(state.amplitudes) ** 2
-    return np.clip(np.real(np.diagonal(state.matrix)), 0.0, None)
+    diagonal = np.real(state.diagonals[state.widths[0] - 1])  # the box's, zero past it
+    return np.clip(np.pad(diagonal, (0, state.space.cutoff - diagonal.size)), 0.0, None)
 
 
 def estimate_tail_mass(state, ref, grid: PhaseSpaceGrid) -> float:

@@ -120,9 +120,11 @@ def default_functionals() -> tuple[ConcaveFunctional, ...]:
     )
 
 
-def trace_functional(values, f: ConcaveFunctional) -> float:
-    """sum_i f(lambda_i) over a spectrum, with 0 ln 0 = 0."""
-    return float(np.sum(f(np.asarray(values, dtype=float))))
+def trace_functional(values, f: ConcaveFunctional):
+    """sum_i f(lambda_i) over a spectrum, with 0 ln 0 = 0: a float, or, for
+    spectra stacked along the leading axes, one sum per spectrum."""
+    out = np.sum(f(np.asarray(values, dtype=float)), axis=-1)
+    return out if out.ndim else float(out)
 
 
 def partial_sum_deficit(a, b) -> float:
@@ -278,14 +280,13 @@ def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
     the vacuum value, the lowest input value (the first input attaining it
     names the report) and their gap."""
     samples = sum(row.seed != "probe" for row in sweep.rows)
+    stacked = np.stack((sweep.vacuum_spectrum,) + sweep.spectra)
     reports = []
     for f in fs:
-        vacuum_value = trace_functional(sweep.vacuum_spectrum, f)
-        rows = []
-        for row, lam in zip(sweep.rows, sweep.spectra):
-            v = trace_functional(lam, f)
-            rows.append(SampleRow(seed=row.seed, label=row.label, functional=f.label,
-                                  value=v, gap=v - vacuum_value, leakage=row.leakage))
+        vacuum_value, *values = trace_functional(stacked, f).tolist()
+        rows = [SampleRow(seed=row.seed, label=row.label, functional=f.label,
+                          value=v, gap=v - vacuum_value, leakage=row.leakage)
+                for row, v in zip(sweep.rows, values)]
         best_value, best_input = min(((r.value, r.label) for r in rows),
                                      key=lambda vt: vt[0], default=(np.inf, ""))
         reports.append(OptimalityReport(

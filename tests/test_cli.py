@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausslab import cli, dump_channel, fock
+from gausslab import cli, dump_channel, errors, fock
 from gausslab import husimi as hu
 from gausslab import majorization as mj
 from gausslab.channels import (
@@ -66,6 +66,56 @@ class TestValidate:
 
     def test_missing_file_exits_one(self):
         assert cli.run(["validate", "/nonexistent/ch.json"]) == 1
+
+
+def _error_classes(cls=errors.GaussLabError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+# The exit code of every library error, stated here so that a change to
+# cli.EXIT_CODES fails a test: usage and IO errors exit 1, the rest 2.
+ERROR_EXIT_CODES = {
+    "GaussLabError": 2, "DimensionMismatch": 2, "ValidityError": 2, "NotHermitian": 2,
+    "InvalidNoise": 2, "InvalidState": 2, "NotQuantumLimited": 2,
+    "NotQuantumLimitedAmplifier": 2, "DimensionTooLarge": 1, "NotDiagonal": 2,
+    "InvalidOrder": 2, "AmplitudeTooLarge": 2, "ParameterOutOfRange": 2,
+    "TruncationLeakage": 2, "ConditionNotMet": 2, "TailMassTooLarge": 2,
+    "QuadratureError": 2, "UsageError": 1, "FileFormatError": 1,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_a_stated_code(self):
+        assert sorted(c.__name__ for c in _error_classes()) == sorted(ERROR_EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(ERROR_EXIT_CODES))
+    def test_error_exits_with_its_code(self, monkeypatch, capsys, files, name):
+        def fail(args):
+            raise getattr(errors, name)("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", fail)
+        assert cli.run(["classify", files["identity"]]) == ERROR_EXIT_CODES[name]
+        err = capsys.readouterr().err
+        assert err == ("error: boom\n" if ERROR_EXIT_CODES[name] == 1
+                       else f"error: {name}: boom\n")
+
+    @pytest.mark.parametrize("error", [FileNotFoundError, IsADirectoryError])
+    def test_io_errors_exit_one(self, monkeypatch, files, error):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", fail)
+        assert cli.run(["classify", files["identity"]]) == 1
+
+    @pytest.mark.parametrize("command", [["majorize", "--samples", "1", "--seed", "1"],
+                                         ["strictgap"]])
+    def test_invalid_noise_in_a_sweep_exits_two(self, tmp_path, capsys, files, command):
+        # mu = 0 with K = 0.6 violates the validity inequality
+        bad = tmp_path / "mu0.json"
+        bad.write_text('{"modes": 1, "K": [[{"re": 0.6, "im": 0.0}]], '
+                       '"mu": [[{"re": 0.0, "im": 0.0}]]}')
+        assert cli.run([command[0], str(bad), *command[1:]]) == 2
+        assert "InvalidNoise" in capsys.readouterr().err
 
 
 class TestReports:

@@ -409,10 +409,9 @@ class TestTransferKernel:
         for i in range(fock.CACHE_SIZE + 3):
             fock.realize_channel(attenuator_channel(0.05 * (i + 1)), space)
         fock.realize_channel(attenuator_channel(0.5), space).apply(fock.vacuum_state(space))
-        for cache in (fock._banded_kraus, fock._cyclic_columns):
-            info = cache.cache_info()
-            assert info.maxsize == fock.CACHE_SIZE
-            assert info.currsize <= info.maxsize
+        info = fock._banded_kraus.cache_info()
+        assert info.maxsize == fock.CACHE_SIZE
+        assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("ch,space", [
         (classical_noise_channel(0.5), fock.FockSpace(1, 40)),
@@ -784,6 +783,97 @@ class TestTracePower:
         skew[0, 1] = 1e-6
         with pytest.raises(NotHermitian):
             fock.trace_power(fock.FockOperator(space40, skew), 2.5)
+
+
+PHASED_PAIR = build_channel(np.diag([0.5 * np.exp(0.7j), 1.3 * np.exp(-0.4j)]),
+                            np.diag([0.6, 0.85]))
+
+
+class TestDiagonalForm:
+    """Channel outputs in their stored diagonal form against the dense
+    Kraus sandwich of the input's density."""
+
+    CASES = [
+        (attenuator_channel(0.6), fock.FockSpace(1, 20), 4),
+        (amplifier_channel(1.5), fock.FockSpace(1, 20), 4),
+        (classical_noise_channel(0.5), fock.FockSpace(1, 12), 9),  # 2s - 1 > d
+        (PHASE_CHANNEL, fock.FockSpace(1, 12), 12),
+        (tensor_channel(attenuator_channel(0.6), attenuator_channel(0.7)),
+         fock.FockSpace(2, 10), 3),
+        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)),
+         fock.FockSpace(2, 10), 3),
+        (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.6)),
+         fock.FockSpace(2, 10), 3),
+        (tensor_channel(amplifier_channel(1.2), amplifier_channel(1.1)),
+         fock.FockSpace(2, 8), 6),  # 2s - 1 > d
+        (PHASED_PAIR, fock.FockSpace(2, 10), 3),
+    ]
+    IDS = ["att", "amp", "noise-full", "phase-full", "att-att", "att-amp", "amp-att",
+           "amp-amp-full", "phased-pair"]
+
+    @staticmethod
+    def output_and_reference(ch, space, support, seed=3):
+        realized = fock.realize_channel(ch, space)
+        psi = fock.random_pure_state(seed, space, support=support)
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        return realized.apply(psi), dense_sandwich(realized, rho)
+
+    @pytest.mark.parametrize("ch,space,support", CASES, ids=IDS)
+    def test_matrix_and_structure(self, ch, space, support):
+        out, reference = self.output_and_reference(ch, space, support)
+        assert np.abs(out.matrix - reference).max() < 1e-13
+        scanned = fock._structure(np.ascontiguousarray(reference), space)
+        assert (out.boxes, out.widths) == scanned
+        assert out.widths == (min(support, space.cutoff),) * space.modes
+
+    @pytest.mark.parametrize("ch,space,support", CASES, ids=IDS)
+    def test_reductions(self, ch, space, support):
+        out, reference = self.output_and_reference(ch, space, support)
+        lam = np.clip(np.linalg.eigvalsh(reference)[::-1], 0.0, None)
+        assert np.abs(fock.spectrum(out) - lam).max() < 1e-13
+        assert fock.leakage(out) == pytest.approx(1.0 - np.trace(reference).real, abs=1e-14)
+        for p in (2, 3, 4, 2.5):
+            assert fock.trace_power(out, p) == pytest.approx(np.sum(lam ** p), abs=1e-13)
+
+    def test_attenuator_mode_keeps_its_box(self):
+        space = fock.FockSpace(2, 10)
+        for ch, boxes in ((tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)),
+                           (3, 10)),
+                          (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.6)),
+                           (10, 3))):
+            out, _ = self.output_and_reference(ch, space, 3)
+            assert out.boxes == boxes
+            assert out.diagonals.shape == (5, 5) + boxes
+
+    def test_operator_input_keeps_its_form(self):
+        # an output fed back in is read from its diagonals, not rescanned
+        space = fock.FockSpace(2, 10)
+        realized = fock.realize_channel(PHASED_PAIR, space)
+        out, reference = self.output_and_reference(PHASED_PAIR, space, 3)
+        twice = realized.apply(out)
+        assert np.abs(twice.matrix - dense_sandwich(realized, reference)).max() < 1e-13
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 2.5])
+    def test_non_finite_input_is_invalid(self, p):
+        space = fock.FockSpace(2, 10)
+        m = np.zeros((10,) * 4, dtype=complex)
+        m[:2, :2, :2, :2] = np.eye(4).reshape(2, 2, 2, 2) / 4
+        m[0, 1, 1, 0] = m[1, 0, 0, 1] = np.nan
+        realized = fock.realize_channel(
+            tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), space)
+        out = realized.apply(fock.FockOperator(space, m.reshape(100, 100)))
+        with pytest.raises(InvalidState):
+            fock.trace_power(out, p)
+        with pytest.raises(InvalidState):
+            fock.spectrum(out)
+
+    def test_dense_matrix_round_trip(self):
+        m = _hermitian_with_spectrum([0.5, 0.3, 0.2])
+        padded = np.zeros((12, 12), dtype=complex)
+        padded[3:6, 3:6] = m
+        op = fock.FockOperator(fock.FockSpace(1, 12), padded)
+        assert (op.boxes, op.widths) == ((6,), (3,))
+        assert np.array_equal(op.matrix, padded)
 
 
 class TestRandomStates:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,6 +364,26 @@ def _gram_purity(ops_a, ops_b, psi, p: float) -> tuple[float, float]:
 
 
 class TestAdditivity:
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_outputs_stay_on_their_diagonals(self, monkeypatch, p):
+        # no output is made dense or rescanned: at d = 30 a dense output is
+        # one 900 x 900 complex array, 13 MB
+        calls = []
+        for name in ("_box_block", "_structure"):
+            original = getattr(fock, name)
+            monkeypatch.setattr(fock, name, lambda *a, original=original, name=name:
+                                calls.append(name) or original(*a))
+        amp = amplifier_channel(np.sqrt(2))
+        tracemalloc.start()
+        try:
+            rep = mj.additivity_test(amp, amp, p, n_samples=2, seed=1, cutoff=30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 900 * 900 * 16
+        assert rep.max_sample_value <= rep.bound + 1e-8
+
     @pytest.mark.parametrize("gains,p,cutoff", [
         ((np.sqrt(2), np.sqrt(2)), 1.5, 28),
         ((np.sqrt(2), np.sqrt(2)), 2.0, 28),
