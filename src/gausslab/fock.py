@@ -395,31 +395,33 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
 _ELEMENTWISE_COST = 32
 
 
-def _banded_square(Y: np.ndarray, widths: tuple[int, ...], reach: tuple[int, ...]):
+def _banded_square(Y: np.ndarray, widths: tuple[int, ...], low: tuple[int, ...],
+                   high: tuple[int, ...]):
     """(Y, S): an operator's diagonal form, on a padded grid, and that of
-    its square up to offsets |k_j| <= reach_j.
+    its square at the offsets low_j <= k_j <= high_j.
 
     Y holds offsets |k_j| < w_j (see :class:`FockOperator`); here each row
     axis is padded by w_j - 1 on both sides and the grid flattened, so that
     shifting x by an offset a is shifting the flat index by one number.  The
     square's entry (x, x + a + c) sums m[x, x + a] m[x + a, x + a + c] over
     a: per offset a, one multiply-add of Y[a] into S[a + c] for every c with
-    |a_j + c_j| <= reach_j.  Index i of an offset axis is offset i - (w_j - 1)
-    in Y and i - reach_j in S; the square's own reach is 2 w_j - 2."""
+    low_j <= a_j + c_j <= high_j.  Index i of an offset axis is offset
+    i - (w_j - 1) in Y and i + low_j in S; the square's own offsets reach
+    2 w_j - 2 either way."""
     modes = len(widths)
     Y = np.pad(Y, [(0, 0)] * modes + [(w - 1, w - 1) for w in widths])
     offsets, grid = Y.shape[:modes], Y.shape[modes:]
     Y = Y.reshape(offsets + (-1,))
     n = Y.shape[-1]
     strides = [int(np.prod(grid[j + 1:])) for j in range(modes)]
-    S = np.zeros(tuple(2 * r + 1 for r in reach) + (n,), dtype=np.complex128)
+    S = np.zeros(tuple(h - lo + 1 for lo, h in zip(low, high)) + (n,), dtype=np.complex128)
     for a in np.ndindex(*offsets):
         shift = sum((i - w + 1) * stride for i, w, stride in zip(a, widths, strides))
         lo, hi = max(0, -shift), n - max(0, shift)
         # the Y index c whose a + c is S index 0, then the c that land in S
-        base = [2 * w - 2 - r - i for i, w, r in zip(a, widths, reach)]
-        c = tuple(slice(max(0, o), min(2 * w - 1, o + 2 * r + 1))
-                  for o, w, r in zip(base, widths, reach))
+        base = [2 * w - 2 + lo_k - i for i, w, lo_k in zip(a, widths, low)]
+        c = tuple(slice(max(0, o), min(2 * w - 1, o + size))
+                  for o, w, size in zip(base, widths, S.shape))
         window = tuple(slice(k.start - o, k.stop - o) for k, o in zip(c, base))
         S[window + (slice(lo, hi),)] += (Y[a + (slice(lo, hi),)]
                                          * Y[c + (slice(lo + shift, hi + shift),)])
@@ -434,9 +436,13 @@ def trace_power(rho: FockOperator, p: float) -> float:
     and sum |rho @ rho|^2, with the square formed diagonal by diagonal
     (:func:`_banded_square`) or, where that is dearer, as one dense product
     of the box block.  These forms take the operator to be Hermitian, as
-    every channel output is.  Any other order, and any Fock-diagonal
-    operator, sums :func:`spectrum` to the power p, with its checks.  Raises
-    InvalidState when the result is not finite."""
+    every channel output is.  Order 3 reads the square on the operator's own
+    offsets only.  Order 4 forms the half-space k_j >= 0 of the widest mode
+    j: the square is Hermitian, so the offsets -k hold the entries of k
+    conjugated, and sum |S|^2 is the k_j = 0 slab plus twice the rest.  Any
+    other order, and any Fock-diagonal operator, sums :func:`spectrum` to
+    the power p, with its checks.  Raises InvalidState when the result is
+    not finite."""
     Y, widths, d = rho.diagonals, rho.widths, rho.space.cutoff
     if p in (2, 3, 4):  # the diagonal's checks only: no eigensolve
         _checked_spectrum(Y[_center(widths)].ravel(), rho.space.dim)
@@ -446,10 +452,18 @@ def trace_power(rho: FockOperator, p: float) -> float:
         offsets = np.prod([2 * w - 1 for w in widths])
         padded = np.prod([d + 2 * w - 2 for w in widths])
         if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
-            # order 3 reads the square on the operator's own offsets only
             reach = tuple((w - 1) * (1 if p == 3 else 2) for w in widths)
-            Y, S = _banded_square(Y, widths, reach)
-            value = _real_inner(S, S if p == 4 else Y)
+            low = tuple(-r for r in reach)
+            if p == 3:
+                Y, S = _banded_square(Y, widths, low, reach)
+                value = _real_inner(S, Y)
+            else:
+                half = widths.index(max(widths))
+                low = low[:half] + (0,) + low[half + 1:]
+                _, S = _banded_square(Y, widths, low, reach)
+                slab = (slice(None),) * half + (slice(0, 1),)
+                rest = (slice(None),) * half + (slice(1, None),)
+                value = _real_inner(S[slab], S[slab]) + 2.0 * _real_inner(S[rest], S[rest])
         else:
             block = _box_block(rho)
             square = block @ block

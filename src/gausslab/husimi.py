@@ -15,7 +15,14 @@ need no interpolation.  A pure state is evaluated on the coherent columns
 covariance: ``Q(r e^{i theta}) = sum_k e^{ik theta} g_k(r)`` with one radial
 function per occupied diagonal k, taken at the distinct radii of the nodes,
 and no eigensolve.  Both read one radial table ``e^{-r^2/2} r^n / sqrt(n!)``
-built in log space.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
+built in log space.  A lattice ``x[:, None] + 1j * x[None, :]`` with a
+symmetric axis (``x == -x[::-1]``, checked exactly; ``c * grid.nodes`` is
+one) is folded onto its wedge ``0 <= y <= x``: the quarter turn
+``z -> i z`` is the gauge rotation ``e^{i pi N/2}`` and ``z -> conj(z)`` is
+conjugation, so every node is one of the 8 images ``i^q w``,
+``conj(i^q w)`` of a wedge node ``w``.  Coherent columns are built at the
+wedge only, with the 8 images as phased amplitude columns of one product,
+and operators take their distinct radii from the wedge.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
 reduced to it by gauge-covariant channel duality,
 ``p^{a0}_rho(z) = kappa^-2 Q_{L[rho]}(z / kappa)``, where ``L`` is the
 quantum-limited attenuator of transmission ``1/kappa`` applied as one Fock
@@ -52,7 +59,7 @@ from .majorization import (
 )
 
 TAIL_BUDGET = 1e-4
-NODE_CHUNK = 16384  # nodes per coherent-column or Poisson-table build
+NODE_CHUNK = 16384  # wedge nodes per coherent-column build, nodes per Poisson table
 WEHRL_GROUP = 8  # states per husimi_values call in the Wehrl sweep
 
 
@@ -163,14 +170,20 @@ def _coherent_columns(z_flat: np.ndarray, dim: int) -> np.ndarray:
 def _diagonals(rho: fock.FockOperator) -> np.ndarray:
     """D[n, k] = h[n, n + k] sqrt(n! / (n + k)!) for n < s and k < w, read
     off the stored diagonals of rho (box s, width w), where
-    h = (rho + rho^dag) / 2 and D is zero past the box (n + k >= s)."""
+    h = (rho + rho^dag) / 2 and D is zero past the box (n + k >= s), as
+    are the stored entries there.  rho[n + k, n] is Y[w - 1 - k, n + k]:
+    the rows of offsets -k shifted left by k, read as one strided view of
+    a zero-padded copy."""
     Y, (box,), (width,) = rho.diagonals, rho.boxes, rho.widths
-    half_log_factorial = 0.5 * log_factorial(np.arange(box))
-    out = np.zeros((box, width), dtype=np.complex128)
-    for k in range(width):  # rho[n, n + k] and rho[n + k, n]
-        upper, lower = Y[width - 1 + k, :box - k], Y[width - 1 - k, k:]
-        out[:box - k, k] = 0.5 * (upper + lower.conj()) * np.exp(
-            half_log_factorial[:box - k] - half_log_factorial[k:])
+    padded = np.zeros((width, box + width), dtype=np.complex128)
+    padded[:, :box] = Y[width - 1::-1]
+    row, col = padded.strides
+    lower = np.ndarray((box, width), padded.dtype, padded, 0, (col, row + col))
+    half_log_factorial = 0.5 * log_factorial(np.arange(box + width))
+    n, k = np.arange(box)[:, None], np.arange(width)
+    out = np.add(Y[width - 1:].T, lower.conj(), out=np.empty((box, width), np.complex128))
+    out *= 0.5
+    out *= np.exp(half_log_factorial[n] - half_log_factorial[n + k])
     return out
 
 
@@ -184,34 +197,103 @@ def _polar_values(diagonals: np.ndarray, poisson: np.ndarray, inv: np.ndarray,
     the sum over k is Horner's scheme in z over the rows of G^T."""
     s, w = diagonals.shape
     g = (poisson[:s].T @ diagonals.view(np.float64)).view(np.complex128).T.copy()
-    acc = np.zeros(z.size, dtype=np.complex128)
-    for k in range(w - 1, 0, -1):
-        acc += g[k][inv]
+    values = g[0].real[inv]
+    if w > 1:
+        acc = g[w - 1][inv]
+        for k in range(w - 2, 0, -1):
+            acc *= z
+            acc += g[k][inv]
         acc *= z
-    return g[0].real[inv] + 2.0 * acc.real
+        values += 2.0 * acc.real
+    return values
+
+
+# (-i)^k by k mod 4: <m|D(i^q w)|0> is (i^q)^m <m|D(w)|0>, and the columns are
+# taken at conjugated nodes
+_QUARTER_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
+
+
+def _gauge_images(z: np.ndarray) -> np.ndarray:
+    """Flat node indices (images, W): row 0 the wedge, the nodes at which
+    coherent columns are built and whose radii are sorted, every other row
+    a symmetry image of them with the same radii.
+
+    A lattice ``z = x[:, None] + 1j * x[None, :]`` whose axis is symmetric
+    (``x == -x[::-1]``), both checked exactly, folds onto its wedge, the W
+    nodes at axis offsets 0 <= b <= a from the centre.  Negating an axis
+    entry is reversing the axis, so its 8 rows hold the nodes i^q w
+    (row q < 4) and conj(i^q w) (row 4 + q) of each wedge node w exactly.
+    They cover every node; the wedge's edges (b = 0, b = a and the centre)
+    appear in several rows.  Any other node array, including one with a
+    non-finite node, is one row of every node in order.
+    """
+    if z.ndim == 2 and z.shape[0] == z.shape[1]:
+        x = z.real[:, 0]
+        if (np.array_equal(x, -x[::-1]) and (z.real == x[:, None]).all()
+                and (z.imag == x[None, :]).all()):
+            n, centre = x.size, x.size // 2
+            a = np.repeat(np.arange(n - centre), np.arange(1, n - centre + 1))
+            b = np.arange(a.size) - a * (a + 1) // 2  # 0 <= b <= a, a-major
+            a, b = a + centre, b + centre
+            ma, mb = n - 1 - a, n - 1 - b  # the axis indices of -x[a], -x[b]
+            an, bn, man, mbn = a * n, b * n, ma * n, mb * n
+            images = np.empty((8, a.size), dtype=np.intp)
+            for row, (i, j) in zip(images, (
+                    (an, b), (mbn, a), (man, mb), (bn, ma),  # w, i w, -w, -i w
+                    (an, mb), (mbn, ma), (man, b), (bn, a))):  # their conjugates
+                np.add(i, j, out=row)
+            return images
+    return np.arange(z.size)[None, :]
+
+
+def _image_amplitudes(stacked: np.ndarray, images: int) -> np.ndarray:
+    """The amplitude columns whose products with the columns at conj(w)
+    give <v|psi> at every image v of w, state-major: a_m (-i)^{qm} for
+    v = i^q w, then conj(a_m) (-i)^{qm} for v = conj(i^q w); no phase at all
+    when the only image is w itself."""
+    if images == 1:
+        return stacked
+    phases = _QUARTER_PHASES[np.outer(np.arange(len(stacked)), np.arange(4)) % 4]
+    return np.concatenate([stacked[:, :, None] * phases[:, None, :],
+                           stacked.conj()[:, :, None] * phases[:, None, :]],
+                          axis=2).reshape(len(stacked), -1)
 
 
 def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
     """p(z) = Tr[state . D(z) rho0 D(z)*] at arbitrary complex nodes.
 
     ``state`` is one state, or a sequence of pure or mixed states on one
-    space, which gives one row of values per state.  Nodes are taken in
-    chunks of :data:`NODE_CHUNK`.
+    space, which gives one row of values per state.
 
-    - Pure states are evaluated on coherent columns.  Per chunk the columns
-      <m|D(z)|0>, cropped to the highest occupied level, are built once and
-      multiplied with the stacked amplitudes of every pure state.
-    - Operators are evaluated in polar form, by gauge covariance:
-      Q(r e^{i theta}) = sum_{|k|<w} e^{ik theta} g_k(r) over the w occupied
-      diagonals (:func:`_polar_values`).  Per chunk a Poisson table is built
-      once at the chunk's distinct radii, and each operator is one product
-      of it with its weighted diagonals.  There is no eigensolve.
+    A lattice (a square node array ``x[:, None] + 1j * x[None, :]`` with
+    ``x == -x[::-1]``, such as ``c * grid.nodes``) is folded onto its wedge
+    0 <= y <= x by gauge covariance: a quarter turn z -> i z is the gauge
+    rotation e^{i pi N/2} and z -> conj(z) is conjugation, so every node is
+    one of the 8 images i^q w, conj(i^q w) of a wedge node w
+    (:func:`_gauge_images`).  Any other node array is its own wedge, with
+    one image.
+
+    - Pure states are evaluated on coherent columns.  Per chunk of
+      :data:`NODE_CHUNK` wedge nodes the columns <m|D(w)|0>, cropped to the
+      highest occupied level, are built once and multiplied with the
+      amplitudes of every pure state in each of its 8 gauge images
+      (:func:`_image_amplitudes`), stacked as the columns of one product;
+      every node then reads its value off one image that lands on it.
+    - Operators are evaluated in polar form at every node, by gauge
+      covariance: Q(r e^{i theta}) = sum_{|k|<w} e^{ik theta} g_k(r) over
+      the w occupied diagonals (:func:`_polar_values`).  The distinct radii
+      come from one sort of the wedge's radii, which are also those of its
+      images, and each node's index among them from its wedge node.  Per
+      chunk of :data:`NODE_CHUNK` nodes a Poisson table is built once at
+      the chunk's distinct radii, and each operator is one product of it
+      with its weighted diagonals.  There is no eigensolve.
 
     A thermal reference reduces to the vacuum one by attenuator duality:
     p(z) = kappa^-2 Q_{L[state]}(z / kappa) with kappa^2 = a0 + 1/2, where L
     is the quantum-limited attenuator of transmission 1/kappa and Q the
     vacuum-reference density <w| . |w>.  The attenuated states are
-    operators, so a thermal reference always takes the polar form.
+    operators, so a thermal reference always takes the polar form; z / kappa
+    is a lattice when z is.
 
     Raises InvalidState on a non-finite amplitude, operator entry or node,
     and on a density above 1 + 1e-8 or below -1e-8; round-off negatives
@@ -237,24 +319,41 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
         attenuator = fock.attenuator_kraus(1.0 / kappa, space)
         states = [fock.apply_kraus(attenuator, s) for s in states]
         z_flat, scale = z_flat / kappa, kappa ** -2
+    images = _gauge_images(z_flat.reshape(np.shape(z_nodes)))
+    out = np.empty((len(states), z_flat.size))
     pure = [row for row, s in enumerate(states) if isinstance(s, fock.PureState)]
     if pure:
         stacked = np.stack([states[row].amplitudes for row in pure], axis=1)
         stacked = stacked[:1 + int(np.flatnonzero(stacked.any(axis=1)).max(initial=0))]
+        amplitudes = _image_amplitudes(stacked, len(images)).T
+        imaged = np.empty((len(pure),) + images.shape)  # (state, image, wedge node)
+        for start in range(0, images.shape[1], NODE_CHUNK):
+            wedge = z_flat[images[0, start:start + NODE_CHUNK]]
+            block = imaged[:, :, start:start + NODE_CHUNK]
+            # columns at conj(w) are the conjugated <m|D(w)|0>
+            product = (amplitudes @ _coherent_columns(wedge.conj(), len(stacked)).T).reshape(
+                block.shape)
+            np.square(product.real, out=block)
+            block += np.square(product.imag)
+        # each node reads one of the images that land on it
+        source = np.empty(z_flat.size, dtype=np.intp)
+        source[images.ravel()] = np.arange(images.size)
+        out[pure] = imaged.reshape(len(pure), -1).take(source, axis=1)
     operators = [(row, _diagonals(s)) for row, s in enumerate(states)
                  if isinstance(s, fock.FockOperator)]
-    box = max((diagonals.shape[0] for _, diagonals in operators), default=0)
-    out = np.empty((len(states), z_flat.size))
-    for start in range(0, z_flat.size, NODE_CHUNK):
-        sl = slice(start, min(start + NODE_CHUNK, z_flat.size))
-        if pure:
-            # columns at conj(z) are the conjugated <m|D(z)|0>
-            out[pure, sl] = (np.abs(_coherent_columns(z_flat[sl].conj(), len(stacked))
-                                    @ stacked) ** 2).T
-        if operators:
-            radii, inv = np.unique(np.abs(z_flat[sl]), return_inverse=True)
-            poisson = np.empty((box, radii.size))
-            for level, magnitude in zip(poisson, _radial_rows(radii, box)):
+    if operators:
+        box = max(diagonals.shape[0] for _, diagonals in operators)
+        radii, inv = np.unique(np.abs(z_flat[images[0]]), return_inverse=True)
+        radius = np.empty(z_flat.size, dtype=np.intp)  # node -> index into radii
+        radius[images] = inv
+        for start in range(0, z_flat.size, NODE_CHUNK):
+            sl = slice(start, start + NODE_CHUNK)
+            # the chunk's distinct radii, in order, and each node's among them
+            present = np.zeros(radii.size, dtype=bool)
+            present[radius[sl]] = True
+            inv = (np.cumsum(present) - 1)[radius[sl]]
+            poisson = np.empty((box, int(np.count_nonzero(present))))
+            for level, magnitude in zip(poisson, _radial_rows(radii[present], box)):
                 np.square(magnitude, out=level)
             for row, diagonals in operators:
                 out[row, sl] = _polar_values(diagonals, poisson, inv, z_flat[sl])

@@ -303,8 +303,9 @@ class TestSweepCommands:
 
     def test_wehrl_evaluates_all_inputs_in_one_call(self, monkeypatch, tmp_path):
         # the vacuum, two Fock probes and three samples form one group: one
-        # evaluation, and one column build per chunk of the default grid
-        values_calls, column_calls = [], []
+        # evaluation, and one column build per chunk of the default grid's
+        # wedge 0 <= y <= x, whose 7381 nodes fit in one chunk
+        values_calls, column_nodes = [], []
         values, columns = hu.husimi_values, hu._coherent_columns
 
         def counted_values(state, ref, z_nodes):
@@ -312,7 +313,7 @@ class TestSweepCommands:
             return values(state, ref, z_nodes)
 
         def counted_columns(z_flat, dim):
-            column_calls.append(1)
+            column_nodes.append(z_flat.size)
             return columns(z_flat, dim)
 
         monkeypatch.setattr(hu, "husimi_values", counted_values)
@@ -320,8 +321,9 @@ class TestSweepCommands:
         code, _ = run_to_file(tmp_path, ["wehrl", "--a0", "0.5", "--samples", "3",
                                          "--seed", "1"])
         assert code == 0
-        chunks = -(-hu.make_grid(6.0, 0.05).nodes.size // hu.NODE_CHUNK)
-        assert (len(values_calls), len(column_calls)) == (1, chunks)
+        wedge = 121 * 122 // 2  # offsets 0 <= b <= a <= 120 from the centre
+        assert wedge == 7381 <= hu.NODE_CHUNK
+        assert (len(values_calls), column_nodes) == (1, [wedge])
 
     def test_wehrl_results_do_not_depend_on_threads(self, tmp_path):
         # 3 + 9 inputs are two groups, evaluated concurrently on two threads

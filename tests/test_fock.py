@@ -736,6 +736,36 @@ class TestTracePower:
             assert fock.trace_power(out, p) == pytest.approx(reference, rel=1e-14, abs=0)
         assert len(calls) == (2 if banded else 0)
 
+    @pytest.mark.parametrize("ch,space,state,half", [
+        (amplifier_channel(1.5), fock.FockSpace(1, 60),
+         lambda s: fock.random_pure_state(7, s, support=4), 0),
+        (SQRT2_PAIR, fock.FockSpace(2, 20), lambda s: fock.random_pure_state(7, s, support=3), 0),
+        (SQRT2_PAIR, fock.FockSpace(2, 20), vacuum_times_haar, 1),
+        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), fock.FockSpace(2, 20),
+         lambda s: fock.random_pure_state(7, s, support=3), 0),
+    ], ids=["one-mode", "sqrt2-pair", "vacuum-haar3", "att-amp"])
+    def test_order_four_squares_one_half_space(self, monkeypatch, ch, space, state, half):
+        # the square is formed at offsets k_j >= 0 of the widest mode j only,
+        # and Tr rho^4 still matches the dense Kraus sandwich
+        realized = fock.realize_channel(ch, space)
+        psi = state(space)
+        out = realized.apply(psi)
+        reference = dense_sandwich(realized, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        squares = []
+        square = fock._banded_square
+
+        def recorded(*args):
+            squares.append(square(*args)[1].shape)
+            return square(*args)
+
+        monkeypatch.setattr(fock, "_banded_square", recorded)
+        dense = reference @ reference
+        expected = np.real(np.sum(dense * dense.conj()))
+        assert fock.trace_power(out, 4) == pytest.approx(expected, rel=1e-14, abs=0)
+        full = tuple(4 * w - 3 for w in out.widths)
+        assert [shape[:-1] for shape in squares] == [
+            full[:half] + (2 * out.widths[half] - 1,) + full[half + 1:]]
+
     def test_banded_order_three_holds_no_dense_array(self):
         space = fock.FockSpace(2, 30)
         out = fock.realize_channel(self.SQRT2_PAIR, space).apply(

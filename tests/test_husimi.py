@@ -5,6 +5,7 @@ from scipy.special import digamma, gammaln
 
 from gausslab import fock
 from gausslab import husimi as hu
+from gausslab._linalg import log_factorial
 from gausslab import majorization as mj
 from gausslab.channels import classify, ChannelClass, decompose
 from gausslab.errors import (
@@ -157,6 +158,109 @@ class TestBatchedEvaluation:
             hu.husimi_values([fock.vacuum_state(space), doubled], 0.5, coarse.nodes)
 
 
+def gauge_images_of(w: np.ndarray) -> list[np.ndarray]:
+    """i^q w for q = 0..3, then conj(i^q w), with the quarter turns as exact
+    coordinate swaps and negations."""
+    turns = [w, -w.imag + 1j * w.real, -w, w.imag - 1j * w.real]
+    return turns + [t.conj() for t in turns]
+
+
+class TestGaugeWedge:
+    """On a lattice, values are built on the wedge 0 <= y <= x and read off
+    at the other nodes through the 8 gauge images; they equal the same
+    nodes evaluated one by one, as a flat array."""
+
+    @pytest.fixture(scope="class")
+    def batches(self, space):
+        sigma = fock.realize_channel(hu.measure_reprepare_channel(0.7), space).apply(
+            fock.number_state(space, 1))
+        pure = [fock.vacuum_state(space), fock.random_pure_state(5, space, support=8),
+                fock.coherent_state(0.7 - 0.3j, space), fock.number_state(space, 3)]
+        operators = [sigma, fock.thermal_state(0.4, space),
+                     fock.density(fock.random_pure_state(6, space, support=6))]
+        return {"pure": pure, "operators": operators,
+                "mixed": [pure[1], operators[0], pure[2], operators[2], pure[0]]}
+
+    @pytest.mark.parametrize("kind", ["pure", "operators", "mixed"])
+    @pytest.mark.parametrize("a0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 3.0])
+    def test_lattice_matches_flat_nodes(self, monkeypatch, batches, kind, a0, c):
+        nodes = c * hu.make_grid(6.0, 0.1).nodes
+        folds, fold = [], hu._gauge_images
+        monkeypatch.setattr(hu, "_gauge_images", lambda z: folds.append(fold(z).shape) or fold(z))
+        got = hu.husimi_values(batches[kind], a0, nodes)
+        assert folds == [(8, 61 * 62 // 2)]  # also at z / kappa for a0 > 1/2
+        flat = hu.husimi_values(batches[kind], a0, nodes.ravel())
+        assert got.shape == (len(batches[kind]),) + nodes.shape
+        assert np.abs(got - flat.reshape(got.shape)).max() <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["pure", "operators", "mixed"])
+    def test_wedge_over_several_chunks(self, batches, kind):
+        nodes = hu.make_grid(6.0, 0.02).nodes
+        wedge = hu._gauge_images(nodes).shape[1]
+        assert wedge == 301 * 302 // 2 == 45451
+        assert -(-wedge // hu.NODE_CHUNK) == 3
+        got = hu.husimi_values(batches[kind], 0.5, nodes)
+        flat = hu.husimi_values(batches[kind], 0.5, nodes.ravel())
+        assert np.abs(got - flat.reshape(got.shape)).max() <= 1e-15
+
+    @pytest.mark.parametrize("nodes", [
+        hu.make_grid(6.0, 0.1).nodes,
+        1.5 * hu.make_grid(6.0, 0.1).nodes,
+        hu.make_grid(6.0, 0.2).nodes / np.sqrt(1.5),  # the thermal z / kappa
+        hu.make_grid(6.0, 0.02).nodes,
+        (lambda x: x[:, None] + 1j * x[None, :])(0.3 * (np.arange(-6, 6) + 0.5)),
+        np.zeros((1, 1), dtype=np.complex128),
+    ], ids=["grid", "1.5grid", "thermal", "fine", "even-axis", "single"])
+    def test_images_cover_every_node_exactly(self, nodes):
+        images = hu._gauge_images(nodes)
+        n = nodes.shape[0]
+        half = n - n // 2
+        assert images.shape == (8, half * (half + 1) // 2)
+        flat = nodes.ravel()
+        w = flat[images[0]]
+        assert (w.imag >= 0).all() and (w.imag <= w.real).all()  # the wedge
+        assert np.array_equal(np.unique(images), np.arange(nodes.size))
+        for row, expected in zip(images, gauge_images_of(w)):
+            assert np.array_equal(flat[row].real, expected.real)
+            assert np.array_equal(flat[row].imag, expected.imag)
+
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        return hu.make_grid(6.0, 0.2)
+
+    @pytest.mark.parametrize("case", ["ulp", "half-step-shift", "rectangular", "one-d"])
+    def test_other_node_sets_are_evaluated_node_by_node(self, monkeypatch, batches, lattice,
+                                                        case):
+        x = lattice.axis
+        nodes = {
+            "ulp": lambda: lattice.nodes.copy(),
+            "half-step-shift": lambda: (x + 0.1)[:, None] + 1j * (x + 0.1)[None, :],
+            "rectangular": lambda: x[:, None] + 1j * x[None, 1:-1],
+            "one-d": lambda: lattice.nodes[30],
+        }[case]()
+        if case == "ulp":
+            nodes[7, 40] = np.nextafter(nodes[7, 40].real, 1.0) + 1j * nodes[7, 40].imag
+        images = hu._gauge_images(nodes)
+        assert np.array_equal(images, np.arange(nodes.size)[None, :])
+        built = []
+        columns = hu._coherent_columns
+        monkeypatch.setattr(hu, "_coherent_columns",
+                            lambda z, dim: built.append(z.size) or columns(z, dim))
+        got = hu.husimi_values(batches["mixed"], 0.5, nodes)
+        assert built == [nodes.size]
+        flat = hu.husimi_values(batches["mixed"], 0.5, nodes.ravel())
+        assert np.array_equal(got, flat.reshape(got.shape))
+
+    @pytest.mark.parametrize("kind", ["pure", "operators"])
+    def test_nan_node_raises(self, batches, lattice, kind):
+        nodes = lattice.nodes.copy()
+        nodes[3, 3] = np.nan
+        assert hu._gauge_images(nodes).shape[0] == 1
+        with pytest.raises(InvalidState):
+            hu.husimi_values(batches[kind], 0.5, nodes)
+
+
 def eigh_husimi_values(state: fock.FockOperator, a0: float, z_nodes) -> np.ndarray:
     """The operator density by eigenpairs: the columns sqrt(w) v over the
     eigenpairs of the Hermitian part with w > 1e-15, each evaluated on the
@@ -172,6 +276,20 @@ def eigh_husimi_values(state: fock.FockOperator, a0: float, z_nodes) -> np.ndarr
     factors = v[:, keep] * np.sqrt(w[keep])
     columns = hu._coherent_columns(z.conj(), state.space.cutoff)
     return scale * (np.abs(columns @ factors) ** 2).sum(axis=1)
+
+
+def loop_diagonals(rho: fock.FockOperator) -> np.ndarray:
+    """D[n, k] = h[n, n + k] sqrt(n! / (n + k)!), h = (rho + rho^dag) / 2,
+    one offset k at a time from the stored diagonals: the reference for the
+    evaluator's strided form."""
+    Y, (box,), (width,) = rho.diagonals, rho.boxes, rho.widths
+    half_log_factorial = 0.5 * log_factorial(np.arange(box))
+    out = np.zeros((box, width), dtype=np.complex128)
+    for k in range(width):
+        upper, lower = Y[width - 1 + k, :box - k], Y[width - 1 - k, k:]
+        out[:box - k, k] = 0.5 * (upper + lower.conj()) * np.exp(
+            half_log_factorial[:box - k] - half_log_factorial[k:])
+    return out
 
 
 class TestPolarEvaluation:
@@ -204,6 +322,13 @@ class TestPolarEvaluation:
         radii = np.array([0.0, 1e-3, 5.0, 18.0, 40.0, 300.0])
         angles = np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, (radii.size, 5))
         return (radii[:, None] * np.exp(1j * angles)).ravel()
+
+    @pytest.mark.parametrize("kind", ["diagonal", "banded", "full", "attenuated"])
+    def test_weighted_diagonals_match_loop(self, operators, space128, kind):
+        rho = operators.get(kind) or fock.apply_kraus(fock.attenuator_kraus(0.8, space128),
+                                                      fock.random_pure_state(3, space128,
+                                                                             support=8))
+        assert np.array_equal(hu._diagonals(rho), loop_diagonals(rho))
 
     @pytest.mark.parametrize("a0", [0.5, 1.0])
     @pytest.mark.parametrize("kind,width", [("diagonal", 1), ("banded", 3), ("full", 128)])
