@@ -11,18 +11,20 @@ truncation budget (``TruncationLeakage``, ``TailMassTooLarge``).  Reports
 are JSON (sorted keys, LF endings) and embed the configuration echo, the
 library version, the tolerances in force, and truncation-leakage
 statistics, so a repeated run with the same configuration is
-byte-identical.  Randomized commands require an explicit --seed; there is
-no wall-clock default.
+byte-identical.  The configuration echo is the parsed command line
+(:func:`_config`): every option the subcommand defines except output paths
+and print formats, with the Renyi order only where a Renyi functional reads
+it and the thread count only for majorize, additivity and wehrl, the
+commands that take --threads.  Randomized commands require an explicit
+--seed; there is no wall-clock default.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,22 +55,17 @@ from .states import (
 LN2 = float(np.log(2.0))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the options a command actually ran with."""
-
-    command: str
-    channels: tuple[str, ...] = ()
-    p: float | None = None
-    samples: int | None = None
-    seed: int | None = None
-    cutoff: int | None = None
-    grid_radius: float | None = None
-    grid_step: float | None = None
-    tolerance: float | None = None
-    threads: int = 1
-    output: str | None = None
-    extra: tuple[tuple[str, object], ...] = ()
+# The configuration echo is read off the parsed command line.  Options are
+# echoed under these report names where they differ from the argparse dest;
+# output paths and print formats are not echoed; the options listed in
+# _TOP_LEVEL sit at the top of ``config`` and every other one under
+# ``extra``, in parser order.
+_ECHO_NAMES = {"channel": "channels", "channel_a": "channels", "channel_b": "channels",
+               "out": "output", "tol": "tolerance", "support": "sample_support",
+               "f": "functional"}
+_NOT_ECHOED = frozenset({"csv", "field_csv", "quiet", "bits"})
+_TOP_LEVEL = frozenset({"command", "channels", "p", "samples", "seed", "cutoff",
+                        "grid_radius", "grid_step", "tolerance", "threads", "output"})
 
 
 def _threads_default() -> int:
@@ -80,26 +77,37 @@ def _threads_default() -> int:
         raise UsageError(f"GAUSSLAB_THREADS must be an integer >= 1, got {env!r}") from None
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = mj.report_to_json(report, out_path or None)
-    if not out_path:
-        sys.stdout.write(text)
+def _config(args: argparse.Namespace) -> dict:
+    """The options a command ran with, as its report echoes them.  Unset
+    options are left out, and so is a Renyi order that no functional reads
+    (``--f vn``)."""
+    config, extra = {}, []
+    for dest, value in vars(args).items():
+        if (value is None or dest in _NOT_ECHOED
+                or (dest == "p" and getattr(args, "f", "renyi") == "vn")):
+            continue
+        name = _ECHO_NAMES.get(dest, dest)
+        if name == "channels":
+            config.setdefault(name, []).append(value)
+        elif name in _TOP_LEVEL:
+            config[name] = value
+        else:
+            extra.append([name, value])
+    if extra:
+        config["extra"] = extra
+    return config
 
 
-def _summarize(line: str) -> None:
-    print(line, file=sys.stderr)
-
-
-def _report(config: RunConfig, results: dict, tolerances: dict,
+def _report(args: argparse.Namespace, results: dict, tolerances: dict,
             leakage: dict | None = None, passed: bool | None = None) -> dict:
     body = {
-        "command": config.command,
-        "config": {k: v for k, v in dataclasses.asdict(config).items() if v not in (None, ())},
+        "command": args.command,
+        "config": _config(args),
         "version": __version__,
         "tolerances": tolerances,
         "results": results,
+        "leakage": leakage or {},
     }
-    body["leakage"] = leakage or {}
     if passed is not None:
         body["pass"] = passed
     return body
@@ -114,27 +122,23 @@ def _functional(name: str, p: float) -> mj.ConcaveFunctional:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (report dict, passed flag).
+# Subcommand handlers.  Each returns its report; a report without a "pass"
+# verdict passes.  A handler's pass rule reads the tolerances its report
+# prints.
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> tuple[dict, bool]:
-    config = RunConfig(command="validate", channels=(args.channel,),
-                       tolerance=args.tol, output=args.out)
+def _cmd_validate(args) -> dict:
+    tolerances = {"validity": args.tol}
     try:
         ch = load_channel(args.channel, tol=args.tol)
     except ValidityError as exc:
-        report = _report(config, {"valid": False, "reason": str(exc)},
-                         {"validity": args.tol}, passed=False)
-        return report, False
+        return _report(args, {"valid": False, "reason": str(exc)}, tolerances, passed=False)
     cls = classify(ch, tol=args.tol)
-    report = _report(config, {"valid": True, "class": cls.value, "modes": ch.modes},
-                     {"validity": args.tol}, passed=True)
-    return report, True
+    return _report(args, {"valid": True, "class": cls.value, "modes": ch.modes},
+                   tolerances, passed=True)
 
 
-def _cmd_classify(args) -> tuple[dict, bool]:
-    config = RunConfig(command="classify", channels=(args.channel,),
-                       tolerance=args.tol, output=args.out)
+def _cmd_classify(args) -> dict:
     ch = load_channel(args.channel, tol=args.tol)
     strict = strictness_conditions(ch, tol=args.tol)
     results = {
@@ -143,12 +147,10 @@ def _cmd_classify(args) -> tuple[dict, bool]:
         "condition_b": strict.condition_b,
         "min_singular_value": strict.min_singular_value,
     }
-    return _report(config, results, {"classification": args.tol}), True
+    return _report(args, results, {"classification": args.tol})
 
 
-def _cmd_decompose(args) -> tuple[dict, bool]:
-    config = RunConfig(command="decompose", channels=(args.channel,),
-                       tolerance=args.tol, output=args.out)
+def _cmd_decompose(args) -> dict:
     ch = load_channel(args.channel, tol=args.tol)
     dec = decompose(ch)
     rec = dec.reconstruct()
@@ -158,12 +160,11 @@ def _cmd_decompose(args) -> tuple[dict, bool]:
         "amplifier": channel_to_dict(dec.amplifier),
         "roundtrip_error": err,
     }
-    return _report(config, results, {"roundtrip": 1e-10}, passed=err <= 1e-10), err <= 1e-10
+    tolerances = {"roundtrip": 1e-10}
+    return _report(args, results, tolerances, passed=err <= tolerances["roundtrip"])
 
 
-def _cmd_entropy(args) -> tuple[dict, bool]:
-    config = RunConfig(command="entropy", channels=(args.channel,), p=args.p,
-                       output=args.out)
+def _cmd_entropy(args) -> dict:
     ch = load_channel(args.channel)
     unit = LN2 if args.bits else 1.0
     results = {
@@ -172,12 +173,10 @@ def _cmd_entropy(args) -> tuple[dict, bool]:
     }
     if args.p is not None:
         results[f"renyi_{args.p:g}"] = minimal_output_renyi(ch, args.p) / unit
-    return _report(config, results, {}), True
+    return _report(args, results, {})
 
 
-def _cmd_purity(args) -> tuple[dict, bool]:
-    config = RunConfig(command="purity", channels=(args.channel,), p=args.p,
-                       output=args.out)
+def _cmd_purity(args) -> dict:
     ch = load_channel(args.channel)
     # both the determinant and its reciprocal are reported; the reciprocal is
     # the physical purity (Tr rho^p <= 1)
@@ -186,21 +185,19 @@ def _cmd_purity(args) -> tuple[dict, bool]:
         "det_value": purity_determinant(ch, args.p),
         "p": args.p,
     }
-    return _report(config, results, {}), True
+    return _report(args, results, {})
 
 
-def _cmd_majorize(args) -> tuple[dict, bool]:
-    config = RunConfig(command="majorize", channels=(args.channel,),
-                       samples=args.samples, seed=args.seed, cutoff=args.cutoff,
-                       threads=args.threads, output=args.out,
-                       extra=(("sample_support", args.support),))
+def _cmd_majorize(args) -> dict:
     ch = load_channel(args.channel)
     sweep = mj.majorization_sweep(ch, n_samples=args.samples, seed=args.seed,
                                   cutoff=args.cutoff, sample_support=args.support,
                                   threads=args.threads)
     reports = mj.optimality_reports(sweep, mj.default_functionals())
     min_gap = min(r.gap for r in reports)
-    passed = min_gap >= -1e-8 and sweep.worst_deficit <= 1e-8
+    tolerances = {"gap": 1e-8, "partial_sums": mj.MAJORIZATION_TOL}
+    passed = (min_gap >= -tolerances["gap"]
+              and sweep.worst_deficit <= tolerances["partial_sums"])
     all_rows = [row for rep in reports for row in rep.rows] + list(sweep.rows)
     if args.csv:
         rows_to_csv(all_rows, args.csv)
@@ -215,38 +212,33 @@ def _cmd_majorize(args) -> tuple[dict, bool]:
         "min_gap": min_gap,
     }
     leak = {"max": max(r.leakage for r in all_rows), "rejected": sweep.rejected}
-    return _report(config, results, {"gap": 1e-8, "partial_sums": 1e-8}, leak,
-                   passed), passed
+    return _report(args, results, tolerances, leak, passed)
 
 
-def _cmd_additivity(args) -> tuple[dict, bool]:
-    config = RunConfig(command="additivity", channels=(args.channel_a, args.channel_b),
-                       p=args.p, samples=args.samples, seed=args.seed,
-                       cutoff=args.cutoff, threads=args.threads, output=args.out)
+def _cmd_additivity(args) -> dict:
     a = load_channel(args.channel_a)
     b = load_channel(args.channel_b)
     rep = mj.additivity_test(a, b, args.p, n_samples=args.samples, seed=args.seed,
                              cutoff=args.cutoff, threads=args.threads)
-    passed = (rep.max_sample_value <= rep.bound + 1e-8
-              and abs(rep.vacuum_value - rep.bound) <= 1e-6)
+    tolerances = {"bound_slack": 1e-8, "vacuum": 1e-6}
+    passed = (rep.max_sample_value <= rep.bound + tolerances["bound_slack"]
+              and abs(rep.vacuum_value - rep.bound) <= tolerances["vacuum"])
     if args.csv:
         rows_to_csv(rep.rows, args.csv)
     results = {"bound": rep.bound, "vacuum_value": rep.vacuum_value,
                "max_sample_value": rep.max_sample_value, "samples": rep.samples}
     leak = {"max": max((r.leakage for r in rep.rows), default=0.0),
             "rejected": rep.rejected}
-    return _report(config, results, {"bound_slack": 1e-8, "vacuum": 1e-6}, leak,
-                   passed), passed
+    return _report(args, results, tolerances, leak, passed)
 
 
-def _cmd_strictgap(args) -> tuple[dict, bool]:
-    config = RunConfig(command="strictgap", channels=(args.channel,),
-                       cutoff=args.cutoff, output=args.out,
-                       extra=(("functional", args.f),))
+def _cmd_strictgap(args) -> dict:
     ch = load_channel(args.channel)
     f = _functional(args.f, args.p)
     rep = mj.strict_gap_probe(ch, f, cutoff=args.cutoff)
-    passed = rep.min_gap > 1e-4 and abs(rep.coherent_gap) <= 1e-6
+    tolerances = {"strict_gap": 1e-4, "coherent": 1e-6}
+    passed = (rep.min_gap > tolerances["strict_gap"]
+              and abs(rep.coherent_gap) <= tolerances["coherent"])
     results = {
         "vacuum_value": rep.vacuum_value,
         "min_gap": rep.min_gap,
@@ -256,27 +248,22 @@ def _cmd_strictgap(args) -> tuple[dict, bool]:
         "probes": [{"label": r.label, "kind": r.kind, "value": r.value, "gap": r.gap}
                    for r in rep.rows],
     }
-    return _report(config, results, {"strict_gap": 1e-4, "coherent": 1e-6},
-                   passed=passed), passed
+    return _report(args, results, tolerances, passed=passed)
 
 
-def _cmd_wehrl(args) -> tuple[dict, bool]:
-    config = RunConfig(command="wehrl", samples=args.samples, seed=args.seed,
-                       grid_radius=args.grid_radius, grid_step=args.grid_step,
-                       threads=args.threads, output=args.out,
-                       extra=(("a0", args.a0), ("probe_dim", args.probe_dim)))
+def _cmd_wehrl(args) -> dict:
     grid = hu.make_grid(args.grid_radius, args.grid_step)
     f = _functional(args.f, args.p)
     rep = hu.wehrl_optimality_test(args.a0, n_samples=args.samples, seed=args.seed,
                                    grid=grid, f=f, probe_dim=args.probe_dim,
                                    threads=args.threads)
-    passed = rep.gap >= -1e-3
+    tolerances = {"gap": 1e-3}
     if args.csv:
         rows_to_csv(rep.rows, args.csv)
     results = {"coherent_value": rep.vacuum_value, "min_value": rep.best_sampled_value,
                "gap": rep.gap, "best_input": rep.best_input_descriptor}
     leak = {"max_tail_mass": max((r.leakage for r in rep.rows), default=0.0)}
-    return _report(config, results, {"gap": 1e-3}, leak, passed), passed
+    return _report(args, results, tolerances, leak, rep.gap >= -tolerances["gap"])
 
 
 _PROBE_BUILDERS = {
@@ -300,12 +287,7 @@ def _parse_probe(name: str, space: fock.FockSpace) -> fock.PureState:
     raise UsageError(f"unknown probe '{name}' (vacuum, fock1, fock2, coherent:<z>)")
 
 
-def _cmd_berezinlieb(args) -> tuple[dict, bool]:
-    config = RunConfig(command="berezinlieb", cutoff=args.cutoff,
-                       grid_radius=args.grid_radius, grid_step=args.grid_step,
-                       output=args.out,
-                       extra=(("c", args.c), ("a0", args.a0), ("a0p", args.a0p),
-                              ("probe", args.probe), ("functional", args.f)))
+def _cmd_berezinlieb(args) -> dict:
     grid = hu.make_grid(args.grid_radius, args.grid_step)
     space = fock.FockSpace(1, 40)
     probe = _parse_probe(args.probe, space)
@@ -314,7 +296,9 @@ def _cmd_berezinlieb(args) -> tuple[dict, bool]:
                                     cutoff=args.cutoff)
     rep = hu.berezin_lieb_check(fields, f)
     conv = hu.convolution_check(fields)
-    passed = rep.sandwiched(1e-3) and conv.sup_deviation <= 2e-3
+    tolerances = {"sandwich_slack": 1e-3, "convolution": 2e-3}
+    passed = (rep.sandwiched(tolerances["sandwich_slack"])
+              and conv.sup_deviation <= tolerances["convolution"])
     if args.field_csv:
         # the upper symbol the sandwich integrated, at its nodes c z
         scaled = grid.scaled(args.c)
@@ -323,13 +307,10 @@ def _cmd_berezinlieb(args) -> tuple[dict, bool]:
                         args.field_csv)
     results = {"lower": rep.lower, "middle": rep.middle, "upper": rep.upper,
                "min_slack": rep.min_slack, "convolution_deviation": conv.sup_deviation}
-    return _report(config, results, {"sandwich_slack": 1e-3, "convolution": 2e-3},
-                   passed=passed), passed
+    return _report(args, results, tolerances, passed=passed)
 
 
-def _cmd_selftest(args) -> tuple[dict, bool]:
-    config = RunConfig(command="selftest", output=args.out,
-                       extra=(("scale", args.scale),))
+def _cmd_selftest(args) -> dict:
     results = suite.run_all(scale=args.scale, verbose=not args.quiet)
     passed = all(r.passed for r in results)
     body = {
@@ -337,7 +318,7 @@ def _cmd_selftest(args) -> tuple[dict, bool]:
                       "details": r.details} for r in results],
         "all_pass": passed,
     }
-    return _report(config, body, {"scale": args.scale}, passed=passed), passed
+    return _report(args, body, {"scale": args.scale}, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -505,16 +486,18 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) is None:
             args.threads = _threads_default()
-        report, passed = _HANDLERS[args.command](args)
+        report = _HANDLERS[args.command](args)
     except tuple(EXIT_CODES) as exc:
         code = next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
         # a usage or IO error states itself; other errors also name their class
         print(f"error: {exc}" if code == 1 else f"error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return code
-    _emit(report, getattr(args, "out", None))
-    status = "ok" if passed else "FAILED"
-    _summarize(f"gausslab {args.command}: {status}")
+    text = mj.report_to_json(report, args.out or None)
+    if not args.out:
+        sys.stdout.write(text)
+    passed = report.get("pass", True)
+    print(f"gausslab {args.command}: {'ok' if passed else 'FAILED'}", file=sys.stderr)
     return 0 if passed else 2
 
 

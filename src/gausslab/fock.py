@@ -436,10 +436,11 @@ def trace_power(rho: FockOperator, p: float) -> float:
     and sum |rho @ rho|^2, with the square formed diagonal by diagonal
     (:func:`_banded_square`) or, where that is dearer, as one dense product
     of the box block.  These forms take the operator to be Hermitian, as
-    every channel output is.  Order 3 reads the square on the operator's own
-    offsets only.  Order 4 forms the half-space k_j >= 0 of the widest mode
-    j: the square is Hermitian, so the offsets -k hold the entries of k
-    conjugated, and sum |S|^2 is the k_j = 0 slab plus twice the rest.  Any
+    every channel output is.  Both orders form the square S only on the
+    half-space k_j >= 0 of the widest mode j, order 3 only on the operator's
+    own offsets: rho and S are Hermitian, so the offsets -k hold the entries
+    of k conjugated, and Re sum(S * conj(rho)) and sum |S|^2 are each the
+    k_j = 0 slab plus twice the rest.  Any
     other order, and any Fock-diagonal operator, sums :func:`spectrum` to
     the power p, with its checks.  Raises InvalidState when the result is
     not finite."""
@@ -453,17 +454,14 @@ def trace_power(rho: FockOperator, p: float) -> float:
         padded = np.prod([d + 2 * w - 2 for w in widths])
         if _ELEMENTWISE_COST * offsets ** 2 * padded < rho.space.dim ** 3:
             reach = tuple((w - 1) * (1 if p == 3 else 2) for w in widths)
-            low = tuple(-r for r in reach)
-            if p == 3:
-                Y, S = _banded_square(Y, widths, low, reach)
-                value = _real_inner(S, Y)
-            else:
-                half = widths.index(max(widths))
-                low = low[:half] + (0,) + low[half + 1:]
-                _, S = _banded_square(Y, widths, low, reach)
-                slab = (slice(None),) * half + (slice(0, 1),)
-                rest = (slice(None),) * half + (slice(1, None),)
-                value = _real_inner(S[slab], S[slab]) + 2.0 * _real_inner(S[rest], S[rest])
+            half = widths.index(max(widths))
+            low = tuple(0 if j == half else -r for j, r in enumerate(reach))
+            Y, S = _banded_square(Y, widths, low, reach)
+            # Tr rho^3 pairs S with rho over the same offsets, Tr rho^4 with S
+            T = Y[(slice(None),) * half + (slice(widths[half] - 1, None),)] if p == 3 else S
+            slab = (slice(None),) * half + (slice(0, 1),)
+            rest = (slice(None),) * half + (slice(1, None),)
+            value = _real_inner(S[slab], T[slab]) + 2.0 * _real_inner(S[rest], T[rest])
         else:
             block = _box_block(rho)
             square = block @ block
@@ -590,12 +588,13 @@ def complementary_output(kappa: float, rho: FockOperator) -> FockOperator:
         raise ParameterOutOfRange(f"gain must satisfy kappa >= 1, got {kappa}")
     d = space.cutoff
     amp = _kraus_table("amplifier", float(kappa), d, d)
+    matrix = rho.matrix  # derived from the diagonals on every access
     out = np.zeros((d, d), dtype=np.complex128)
     for m in range(2 * d - 1):  # system output level n + l
         ns = np.arange(max(0, m - d + 1), min(m, d - 1) + 1)
         ls = m - ns
         w = amp[ls, ns]
-        out[np.ix_(ls, ls)] += np.outer(w, w) * rho.matrix[np.ix_(ns, ns)]
+        out[np.ix_(ls, ls)] += np.outer(w, w) * matrix[np.ix_(ns, ns)]
     return FockOperator(space=space, matrix=out)
 
 

@@ -165,6 +165,113 @@ class TestReports:
         assert set(reports[-1][1]["leakage"]) == {"max_tail_mass"}
 
 
+# Every option of every subcommand set, with the configuration echo it must
+# give: the parsed options under their report names, less the output paths
+# (--csv, --field-csv) and print formats (--quiet, --bits).  "output" is
+# added by run_to_file.
+FULL_ARGV = {
+    "validate": (["validate", "{amp15}", "--tol", "1e-9"],
+                 {"channels": ["{amp15}"], "tolerance": 1e-9}),
+    "classify": (["classify", "{amp15}", "--tol", "1e-9"],
+                 {"channels": ["{amp15}"], "tolerance": 1e-9}),
+    "decompose": (["decompose", "{amp15}", "--tol", "1e-9"],
+                  {"channels": ["{amp15}"], "tolerance": 1e-9}),
+    "entropy": (["entropy", "{amp15}", "--p", "3", "--bits"],
+                {"channels": ["{amp15}"], "p": 3.0}),
+    "purity": (["purity", "{amp15}", "--p", "3"], {"channels": ["{amp15}"], "p": 3.0}),
+    "majorize": (["majorize", "{att07}", "--samples", "1", "--seed", "2", "--cutoff", "20",
+                  "--support", "2", "--threads", "1", "--csv", "{tmp}/rows.csv"],
+                 {"channels": ["{att07}"], "samples": 1, "seed": 2, "cutoff": 20,
+                  "threads": 1, "extra": [["sample_support", 2]]}),
+    "additivity": (["additivity", "{att07}", "{amp_sqrt2}", "--p", "3", "--samples", "1",
+                    "--seed", "2", "--cutoff", "30", "--threads", "1",
+                    "--csv", "{tmp}/rows.csv"],
+                   {"channels": ["{att07}", "{amp_sqrt2}"], "p": 3.0, "samples": 1,
+                    "seed": 2, "cutoff": 30, "threads": 1}),
+    "strictgap": (["strictgap", "{amp15}", "--f", "renyi", "--p", "3", "--cutoff", "30"],
+                  {"channels": ["{amp15}"], "p": 3.0, "cutoff": 30,
+                   "extra": [["functional", "renyi"]]}),
+    "wehrl": (["wehrl", "--a0", "0.5", "--samples", "1", "--seed", "2", "--grid-radius", "6",
+               "--grid-step", "0.3", "--f", "renyi", "--p", "3", "--probe-dim", "4",
+               "--threads", "1", "--csv", "{tmp}/rows.csv"],
+              {"samples": 1, "seed": 2, "grid_radius": 6.0, "grid_step": 0.3, "p": 3.0,
+               "threads": 1, "extra": [["a0", 0.5], ["functional", "renyi"],
+                                       ["probe_dim", 4]]}),
+    "berezinlieb": (["berezinlieb", "--c", "2", "--a0", "0.5", "--a0p", "1.0",
+                     "--probe", "fock1", "--f", "renyi", "--p", "3", "--cutoff", "128",
+                     "--grid-radius", "12", "--grid-step", "0.3",
+                     "--field-csv", "{tmp}/field.csv"],
+                    {"p": 3.0, "cutoff": 128, "grid_radius": 12.0, "grid_step": 0.3,
+                     "extra": [["c", 2.0], ["a0", 0.5], ["a0p", 1.0], ["probe", "fock1"],
+                               ["functional", "renyi"]]}),
+    "selftest": (["selftest", "--scale", "0.05", "--quiet"], {"extra": [["scale", 0.05]]}),
+}
+
+# The minimal command line of each subcommand that has no --threads option.
+NO_THREADS_ARGV = {
+    "validate": ["validate", "{amp15}"],
+    "classify": ["classify", "{amp15}"],
+    "decompose": ["decompose", "{amp15}"],
+    "entropy": ["entropy", "{amp15}"],
+    "purity": ["purity", "{amp15}", "--p", "2"],
+    "strictgap": ["strictgap", "{amp15}"],
+    "berezinlieb": ["berezinlieb", "--c", "2", "--grid-step", "0.3"],
+    "selftest": ["selftest", "--scale", "0.05", "--quiet"],
+}
+
+# The commands whose concave functional is --f vn or --f renyi with order --p.
+FUNCTIONAL_ARGV = {
+    "strictgap": ["strictgap", "{amp15}"],
+    "wehrl": ["wehrl", "--samples", "1", "--seed", "1", "--grid-step", "0.3"],
+    "berezinlieb": ["berezinlieb", "--c", "2", "--grid-step", "0.3"],
+}
+
+
+def _filled(value, paths):
+    if isinstance(value, str):
+        return value.format(**paths)
+    if isinstance(value, (list, tuple)):
+        return [_filled(v, paths) for v in value]
+    if isinstance(value, dict):
+        return {k: _filled(v, paths) for k, v in value.items()}
+    return value
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("command", sorted(FULL_ARGV))
+    def test_echo_is_the_parsed_options(self, tmp_path, files, command):
+        paths = dict(files, tmp=str(tmp_path))
+        argv, expected = _filled(FULL_ARGV[command], paths)
+        code, report = run_to_file(tmp_path, argv)
+        assert code in (0, 2) and report is not None
+        assert report["config"] == dict(expected, command=command,
+                                        output=str(tmp_path / "report.json"))
+
+    def test_every_subcommand_is_covered(self):
+        assert set(FULL_ARGV) == set(cli._HANDLERS)
+
+    @pytest.mark.parametrize("command", sorted(FUNCTIONAL_ARGV))
+    def test_renyi_order_is_echoed(self, tmp_path, files, command):
+        argv = _filled(FUNCTIONAL_ARGV[command], files) + ["--f", "renyi"]
+        configs = [run_to_file(tmp_path, argv + ["--p", p])[1]["config"] for p in ("2", "3")]
+        assert [config["p"] for config in configs] == [2.0, 3.0]
+
+    @pytest.mark.parametrize("command", sorted(FUNCTIONAL_ARGV))
+    def test_von_neumann_echoes_no_order(self, tmp_path, files, command):
+        argv = _filled(FUNCTIONAL_ARGV[command], files) + ["--f", "vn", "--p", "3"]
+        config = run_to_file(tmp_path, argv)[1]["config"]
+        assert "p" not in config
+        assert ["functional", "vn"] in config["extra"]
+
+    @pytest.mark.parametrize("command", sorted(NO_THREADS_ARGV))
+    def test_no_thread_count_without_threads_option(self, monkeypatch, tmp_path, files,
+                                                    command):
+        monkeypatch.setenv("GAUSSLAB_THREADS", "3")
+        code, report = run_to_file(tmp_path, _filled(NO_THREADS_ARGV[command], files))
+        assert code == 0
+        assert "threads" not in report["config"]
+
+
 class TestSweepCommands:
     def test_majorize_passes_and_is_deterministic(self, tmp_path, files):
         argv = ["majorize", files["amp15"], "--samples", "12", "--seed", "7",

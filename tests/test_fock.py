@@ -736,17 +736,21 @@ class TestTracePower:
             assert fock.trace_power(out, p) == pytest.approx(reference, rel=1e-14, abs=0)
         assert len(calls) == (2 if banded else 0)
 
-    @pytest.mark.parametrize("ch,space,state,half", [
-        (amplifier_channel(1.5), fock.FockSpace(1, 60),
-         lambda s: fock.random_pure_state(7, s, support=4), 0),
-        (SQRT2_PAIR, fock.FockSpace(2, 20), lambda s: fock.random_pure_state(7, s, support=3), 0),
-        (SQRT2_PAIR, fock.FockSpace(2, 20), vacuum_times_haar, 1),
-        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), fock.FockSpace(2, 20),
-         lambda s: fock.random_pure_state(7, s, support=3), 0),
-    ], ids=["one-mode", "sqrt2-pair", "vacuum-haar3", "att-amp"])
-    def test_order_four_squares_one_half_space(self, monkeypatch, ch, space, state, half):
+    @pytest.mark.parametrize("p,ch,space,state,half", [
+        pytest.param(p, *case, id=name if p == 4 else f"{name}-p3")
+        for name, *case in [
+            ("one-mode", amplifier_channel(1.5), fock.FockSpace(1, 60),
+             lambda s: fock.random_pure_state(7, s, support=4), 0),
+            ("sqrt2-pair", SQRT2_PAIR, fock.FockSpace(2, 20),
+             lambda s: fock.random_pure_state(7, s, support=3), 0),
+            ("vacuum-haar3", SQRT2_PAIR, fock.FockSpace(2, 20), vacuum_times_haar, 1),
+            ("att-amp", tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)),
+             fock.FockSpace(2, 20), lambda s: fock.random_pure_state(7, s, support=3), 0),
+        ] for p in (4, 3)])
+    def test_order_four_squares_one_half_space(self, monkeypatch, p, ch, space, state, half):
         # the square is formed at offsets k_j >= 0 of the widest mode j only,
-        # and Tr rho^4 still matches the dense Kraus sandwich
+        # out to the operator's own offsets at p = 3, and Tr rho^p still
+        # matches the dense Kraus sandwich
         realized = fock.realize_channel(ch, space)
         psi = state(space)
         out = realized.apply(psi)
@@ -760,11 +764,12 @@ class TestTracePower:
 
         monkeypatch.setattr(fock, "_banded_square", recorded)
         dense = reference @ reference
-        expected = np.real(np.sum(dense * dense.conj()))
-        assert fock.trace_power(out, 4) == pytest.approx(expected, rel=1e-14, abs=0)
-        full = tuple(4 * w - 3 for w in out.widths)
+        expected = np.real(np.sum(dense * (reference if p == 3 else dense).conj()))
+        assert fock.trace_power(out, p) == pytest.approx(expected, rel=1e-14, abs=0)
+        reach = [(p - 2) * (w - 1) for w in out.widths]
+        full = tuple(2 * r + 1 for r in reach)
         assert [shape[:-1] for shape in squares] == [
-            full[:half] + (2 * out.widths[half] - 1,) + full[half + 1:]]
+            full[:half] + (reach[half] + 1,) + full[half + 1:]]
 
     def test_banded_order_three_holds_no_dense_array(self):
         space = fock.FockSpace(2, 30)
