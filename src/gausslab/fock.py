@@ -39,6 +39,10 @@ over it and its banded square, and spectra eigensolve the dense block of the
 box alone and pad it with zeros.  The dense matrix is derived on demand.  An
 operator built from a dense matrix outside the kernel (thermal states,
 probes, tests) is read into that form by one scan of its nonzero mask.
+A batch of pure states goes through the kernel as one stack: their
+densities share the batch's largest box and width and are stacked along a
+trailing sample axis of Y, which the kernel carries as more columns, and
+:func:`spectrum` returns one row per sample.
 
 Truncation policy: operations report the trace deficit (leakage) and never
 renormalize silently; callers enforce their own leakage budgets.
@@ -47,6 +51,7 @@ renormalize silently; callers enforce their own leakage budgets.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +111,9 @@ class FockOperator:
     b_j and ``widths`` the w_j; every entry of rho outside them is zero, and
     so is every stored entry whose column x + k leaves the box.  Regrouping
     the offset axes by k_1 + k_2 gives the total-photon-number offsets.
+    A stack of operators, the output of :meth:`FockChannel.apply` on a
+    sequence of pure states, carries one more axis, the sample, last; only
+    :func:`spectrum` reads stacks.
 
     ``FockOperator(space, matrix)`` reads a dense matrix into this form with
     one :func:`_structure` scan; channel outputs come from
@@ -138,7 +146,8 @@ class FockOperator:
         """The dense dim x dim matrix, built anew on each access."""
         d, modes = self.space.cutoff, self.space.modes
         out = np.zeros((d,) * (2 * modes), dtype=np.complex128)
-        out[tuple(slice(b) for b in self.boxes) * 2] = _box_block(self).reshape(self.boxes * 2)
+        out[tuple(slice(b) for b in self.boxes) * 2] = _box_block(
+            self.diagonals, self.boxes, self.widths).reshape(self.boxes * 2)
         return out.reshape(self.space.dim, self.space.dim)
 
 
@@ -280,42 +289,52 @@ def leakage(rho: FockOperator) -> float:
     return float(1.0 - np.real(np.sum(rho.diagonals[_center(rho.widths)])))
 
 
-def _padded_box(boxes: tuple[int, ...], widths: tuple[int, ...]):
+def _padded_box(boxes: tuple[int, ...], widths: tuple[int, ...], trailing: tuple[int, ...] = ()):
     """A zero box block whose column axes are padded by w_j - 1 on both
-    sides, and the index of the box's columns in it."""
-    padded = np.zeros(boxes + tuple(b + 2 * w - 2 for b, w in zip(boxes, widths)),
+    sides, with ``trailing`` sample axes last, and the index of the box's
+    columns in it."""
+    padded = np.zeros(boxes + tuple(b + 2 * w - 2 for b, w in zip(boxes, widths)) + trailing,
                       dtype=np.complex128)
     return padded, (slice(None),) * len(boxes) + tuple(
         slice(w - 1, w - 1 + b) for b, w in zip(boxes, widths))
 
 
 def _diagonal_view(padded: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
-    """V[k..., x...] = padded[x..., x + k + w - 1...]: the diagonal form's
-    entries inside a :func:`_padded_box`, as one writeable strided view.
-    Distinct (k, x) are distinct entries, and a column that leaves the box
-    lands in the padding."""
+    """V[k..., x..., s...] = padded[x..., x + k + w - 1..., s...]: the
+    diagonal form's entries inside a :func:`_padded_box`, as one writeable
+    strided view.  Distinct (k, x) are distinct entries, and a column that
+    leaves the box lands in the padding."""
     modes = len(widths)
     strides = padded.strides
-    return np.ndarray(tuple(2 * w - 1 for w in widths) + padded.shape[:modes], padded.dtype,
-                      padded, 0, strides[modes:] + tuple(strides[j] + strides[modes + j]
-                                                         for j in range(modes)))
+    return np.ndarray(tuple(2 * w - 1 for w in widths) + padded.shape[:modes]
+                      + padded.shape[2 * modes:], padded.dtype, padded, 0,
+                      strides[modes:2 * modes]
+                      + tuple(strides[j] + strides[modes + j] for j in range(modes))
+                      + strides[2 * modes:])
 
 
 def _gather(block: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
-    """The diagonal form of a dense box block, axes (x..., column...)."""
-    padded, box = _padded_box(block.shape[:len(widths)], widths)
+    """The diagonal form of a dense box block, axes (x..., column...,
+    sample...)."""
+    modes = len(widths)
+    padded, box = _padded_box(block.shape[:modes], widths, block.shape[2 * modes:])
     padded[box] = block
     return _diagonal_view(padded, widths).copy()
 
 
-def _box_block(rho: FockOperator) -> np.ndarray:
-    """The dense block of rho on its box, as a prod(boxes)-square matrix:
-    the inverse of :func:`_gather`, and the only dense form of rho that
-    :func:`spectrum` and :func:`trace_power` build."""
-    padded, box = _padded_box(rho.boxes, rho.widths)
-    _diagonal_view(padded, rho.widths)[...] = rho.diagonals
-    size = int(np.prod(rho.boxes))
-    return padded[box].reshape(size, size)
+def _box_block(y: np.ndarray, boxes: tuple[int, ...], widths: tuple[int, ...]) -> np.ndarray:
+    """The dense block on the box of the diagonal form y, as a
+    prod(boxes)-square matrix, or a stack of them, sample first, when y
+    carries a trailing sample axis: the inverse of :func:`_gather`, and the
+    only dense form of an operator that :func:`spectrum` and
+    :func:`trace_power` build."""
+    modes = len(boxes)
+    trailing = y.shape[2 * modes:]
+    padded, box = _padded_box(boxes, widths, trailing)
+    _diagonal_view(padded, widths)[...] = y
+    size = int(np.prod(boxes))
+    block = padded[box].reshape((size, size) + trailing)
+    return np.moveaxis(block, -1, 0) if trailing else block
 
 
 def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -342,40 +361,70 @@ def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[
     return tuple(boxes), tuple(widths)
 
 
-def _checked_spectrum(block: np.ndarray, dim: int) -> np.ndarray:
-    """:func:`spectrum` of an operator from its dense box block, or from its
-    diagonal (1-D ``block``) when it is Fock-diagonal."""
-    # every entry outside the block is zero, so these checks cover the operator
-    if not np.isfinite(block).all():
+def _checked_diagonal(diagonal: np.ndarray) -> None:
+    """:func:`spectrum`'s checks on a Fock-diagonal operator's diagonal (or
+    each row of a stack of them): finite, real and not below -1e-8."""
+    if not np.isfinite(diagonal).all():
         raise InvalidState("operator has a non-finite entry")
-    if block.ndim == 1:  # |m - m^dag| is 2 |Im m[n, n]|
-        defect = 2.0 * float(np.abs(block.imag).max())
-        w = np.sort(block.real)[::-1]
-    else:  # one adjoint copy for the defect and the Hermitian part
-        adjoint = block.conj().T
-        defect = float(np.abs(block - adjoint).max())
-        w = np.linalg.eigvalsh(0.5 * (block + adjoint))[::-1]
-    if not defect <= 1e-10:
-        raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
-    if not w[-1] >= -1e-8:  # before padding, which puts zeros last
-        raise InvalidState(f"operator has eigenvalue {w[-1]:.3e} below -1.0e-08")
-    if len(w) < dim:
-        w = np.concatenate([w, np.zeros(dim - len(w))])
-    return np.clip(w, 0.0, None)
+    _check_spectrum(2.0 * np.abs(diagonal.imag).max(axis=-1), diagonal.real.min(axis=-1))
+
+
+def _check_spectrum(defects, lowest) -> None:
+    """Raise for the first operator of a stack whose Hermiticity defect
+    exceeds 1e-10 or whose lowest eigenvalue is below -1e-8."""
+    for defect, low in zip(np.atleast_1d(defects).tolist(), np.atleast_1d(lowest).tolist()):
+        if not defect <= 1e-10:
+            raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
+        if not low >= -1e-8:
+            raise InvalidState(f"operator has eigenvalue {low:.3e} below -1.0e-08")
 
 
 def spectrum(rho: FockOperator) -> np.ndarray:
-    """Real eigenvalues, descending; negatives above -1e-8 are set to 0.
+    """Real eigenvalues, descending; negatives above -1e-8 are set to 0.  A
+    stack of operators gives one row per sample, each checked on its own.
 
     Only the operator's occupied box is read: it is checked for finite
     entries and Hermiticity there, and its dense block alone is built and
     eigensolved, the rest of the spectrum being zeros.  The two-mode output
     of a support-s input behind an attenuator on one mode is an s d block,
-    not d^2.  A Fock-diagonal operator's spectrum is read off its diagonal.
-    Raises InvalidState on a non-finite entry or an eigenvalue below -1e-8,
-    NotHermitian on a Hermiticity defect above 1e-10."""
-    block = rho.diagonals.ravel() if max(rho.widths) == 1 else _box_block(rho)
-    return _checked_spectrum(block, rho.space.dim)
+    not d^2.  An operator whose entries off the diagonal are all zero is
+    read off its diagonal, with no eigensolve; in a stack the others share
+    one stacked eigensolve.  Raises InvalidState on a non-finite entry or an
+    eigenvalue below -1e-8, NotHermitian on a Hermiticity defect above
+    1e-10."""
+    y, boxes, widths = rho.diagonals, rho.boxes, rho.widths
+    stacked = y.ndim > 2 * rho.space.modes
+    if not stacked:
+        y = y[..., None]
+    samples, size = y.shape[-1], int(np.prod(boxes))
+    center = _center(widths)
+    if stacked and max(widths) > 1:  # which samples have entries off the diagonal
+        off = y != 0
+        off[center] = False
+        full = off.reshape(-1, samples).any(axis=0)
+    else:
+        full = np.full(samples, max(widths) > 1)
+    diagonal = y[center].reshape(size, samples).T[~full]
+    block = _box_block(y if full.all() else y[..., full], boxes, widths) if full.any() else None
+    # every stored entry sits in one of these, so the checks cover the operator
+    if not (np.isfinite(diagonal).all() and (block is None or np.isfinite(block).all())):
+        raise InvalidState("operator has a non-finite entry")
+    w = np.empty((samples, size))
+    defects = np.empty(samples)
+    # |m - m^dag| is 2 |Im m[n, n]| on a Fock-diagonal operator
+    defects[~full] = 2.0 * np.abs(diagonal.imag).max(axis=-1)
+    w[~full] = np.sort(diagonal.real, axis=-1)[:, ::-1]
+    if block is not None:  # one adjoint copy for the defect and the Hermitian part
+        adjoint = block.conj().swapaxes(-1, -2)
+        defects[full] = np.abs(block - adjoint).max(axis=(-2, -1))
+        hermitian = block + adjoint
+        hermitian *= 0.5
+        w[full] = np.linalg.eigvalsh(hermitian if stacked else hermitian[0])[..., ::-1]
+    _check_spectrum(defects, w[:, -1])  # before padding, which puts zeros last
+    out = np.zeros((samples, rho.space.dim))
+    out[:, :size] = w
+    out = np.clip(out, 0.0, None)
+    return out if stacked else out[0]
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -446,7 +495,7 @@ def trace_power(rho: FockOperator, p: float) -> float:
     not finite."""
     Y, widths, d = rho.diagonals, rho.widths, rho.space.cutoff
     if p in (2, 3, 4):  # the diagonal's checks only: no eigensolve
-        _checked_spectrum(Y[_center(widths)].ravel(), rho.space.dim)
+        _checked_diagonal(Y[_center(widths)].ravel())
     if p == 2:
         value = _real_inner(Y, Y)
     elif p in (3, 4) and max(widths) > 1:
@@ -463,7 +512,7 @@ def trace_power(rho: FockOperator, p: float) -> float:
             rest = (slice(None),) * half + (slice(1, None),)
             value = _real_inner(S[slab], T[slab]) + 2.0 * _real_inner(S[rest], T[rest])
         else:
-            block = _box_block(rho)
+            block = _box_block(Y, rho.boxes, widths)
             square = block @ block
             value = _real_inner(square, block if p == 3 else square)
     else:
@@ -643,21 +692,24 @@ def beamsplitter_unitary(theta: float, space: FockSpace) -> FockOperator:
 # Realization of gauge-covariant channels as per-mode phases and stages.
 # ---------------------------------------------------------------------------
 
-def _pure_diagonals(psi: PureState):
-    """(Y, boxes, widths) of a pure state's density, formed on the box of
-    its amplitudes only: per mode, the box is one past the highest occupied
-    level and the width one past the distance between the lowest and the
-    highest, as :func:`_structure` would read them off the density."""
-    d, modes = psi.space.cutoff, psi.space.modes
-    x = psi.amplitudes.reshape((d,) * modes)
+def _pure_diagonals(amplitudes: np.ndarray, space: FockSpace):
+    """(Y, boxes, widths) of the density of a pure state's amplitudes, or of
+    a stack of states' densities when ``amplitudes`` carries a trailing
+    sample axis, formed on the box of the amplitudes only: per mode, the box
+    is one past the highest level occupied in any sample and the width one
+    past the distance between the lowest and the highest, as
+    :func:`_structure` would read them off the density."""
+    d, modes = space.cutoff, space.modes
+    x = amplitudes.reshape((d,) * modes + amplitudes.shape[1:])
     nonzero = x != 0
     boxes, widths = [], []
     for j in range(modes):
-        levels = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(modes) if a != j)))
+        levels = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(x.ndim) if a != j)))
         boxes.append(int(levels[-1]) + 1 if levels.size else 1)
         widths.append(int(levels[-1] - levels[0]) + 1 if levels.size else 1)
     sub = x[tuple(slice(b) for b in boxes)]
-    return _gather(np.multiply.outer(sub, sub.conj()), widths), tuple(boxes), tuple(widths)
+    block = sub[(slice(None),) * modes + (None,) * modes] * sub.conj()[(None,) * modes]
+    return _gather(block, widths), tuple(boxes), tuple(widths)
 
 
 def _apply_stages(phases, stages, y: np.ndarray, boxes: tuple[int, ...],
@@ -666,7 +718,8 @@ def _apply_stages(phases, stages, y: np.ndarray, boxes: tuple[int, ...],
     (see :class:`FockOperator`) to that of the output, and its boxes.  Per
     mode, a gauge phase and a tuple of quantum-limited stages (phase 0 and
     no stages leave the mode alone).  The mode's axes (k, x) lead, the
-    other modes' axes are the columns: the phase multiplies offset k by
+    other modes' axes and a stack's sample axis are the columns: the phase
+    multiplies offset k by
     e^{-i phase k}, and a stage with band sum G maps offset k by
     G * W[k mod d] (see :attr:`OneModeChannelKraus.rolled_band_sum`), which
     is blockdiag(S[c], S[d-c]) with S[c] = G[:d-c, :d-c] * G[c:, c:] (each
@@ -684,7 +737,8 @@ def _apply_stages(phases, stages, y: np.ndarray, boxes: tuple[int, ...],
     for mode, (phase, mode_stages) in enumerate(zip(phases, stages)):
         if not (phase or mode_stages):
             continue
-        order = (mode, modes + mode) + tuple(a for a in range(2 * modes) if a % modes != mode)
+        order = (mode, modes + mode) + tuple(a for a in range(y.ndim)
+                                              if a not in (mode, modes + mode))
         w = widths[mode]
         offsets = np.arange(1 - w, w)
         ym = np.ascontiguousarray(y.transpose(order))
@@ -711,7 +765,7 @@ def _apply_stages(phases, stages, y: np.ndarray, boxes: tuple[int, ...],
             ym = np.where(((inside >= 0) & (inside < d))[:, :, None], ym[offsets % d], 0)
         boxes[mode] = rows
         y = ym.reshape((len(offsets), rows) + rest).transpose(
-            [order.index(a) for a in range(2 * modes)])
+            [order.index(a) for a in range(len(order))])
     return np.ascontiguousarray(y), tuple(boxes)
 
 
@@ -734,15 +788,21 @@ class FockChannel:
         if any(stage.space.cutoff != self.space.cutoff for mode in self.stages for stage in mode):
             raise DimensionMismatch("Kraus cutoff does not match the space")
 
-    def apply(self, state: PureState | FockOperator) -> FockOperator:
+    def apply(self, state: PureState | FockOperator | Sequence[PureState]) -> FockOperator:
         """The output of a pure state (through its density, formed on the
-        state's occupied box only) or an operator, in diagonal form."""
-        if state.space != self.space:
+        state's occupied box only) or an operator, in diagonal form.  A
+        sequence of pure states is applied as one stack (see
+        :class:`FockOperator`): one kernel pass over the densities of all of
+        them, on the batch's largest box and width."""
+        batch = not isinstance(state, (PureState, FockOperator))
+        if any(s.space != self.space for s in (state if batch else (state,))):
             raise DimensionMismatch("operator lives on a different space")
         if isinstance(state, FockOperator):
             y, boxes, widths = state.diagonals, state.boxes, state.widths
         else:
-            y, boxes, widths = _pure_diagonals(state)
+            amplitudes = (np.stack([s.amplitudes for s in state], axis=-1) if batch
+                          else state.amplitudes)
+            y, boxes, widths = _pure_diagonals(amplitudes, self.space)
         y, boxes = _apply_stages(self.phases, self.stages, y, boxes, widths, self.space)
         return FockOperator.from_diagonals(self.space, y, boxes, widths)
 

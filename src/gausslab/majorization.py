@@ -9,11 +9,15 @@ not proofs.
 
 One sampling pass serves both halves of the majorization claim:
 :func:`majorization_sweep` maps the vacuum, the probes and the seeded
-samples (redrawn past the leakage budget) to output spectra once, and
+samples to output spectra once, as one batch: one Fock stage kernel call
+(:meth:`gausslab.fock.FockChannel.apply` on the sequence of inputs), one
+stacked :func:`gausslab.fock.spectrum` and one vectorized deficit, with
+the samples past the leakage budget redrawn as one batch per retry round.
 :func:`optimality_reports` reduces those same spectra by concave
-functionals.  Every channel application goes through the Fock stage
-kernel (:meth:`gausslab.fock.FockChannel.apply`), the two-mode
-:func:`additivity_test` included.
+functionals.  Threads map contiguous chunks of the batch.  Every channel
+application goes through the stage kernel, the two-mode
+:func:`additivity_test` included, which evaluates its states one by one
+inside the same retry loop.
 """
 
 from __future__ import annotations
@@ -127,16 +131,16 @@ def trace_functional(values, f: ConcaveFunctional):
     return out if out.ndim else float(out)
 
 
-def partial_sum_deficit(a, b) -> float:
-    """max_m (sum_{i<=m} b_i - sum_{i<=m} a_i); <= 0 means a majorizes b."""
-    a = np.sort(np.asarray(a, dtype=float))[::-1]
-    b = np.sort(np.asarray(b, dtype=float))[::-1]
-    n = max(a.size, b.size)
-    ca = np.zeros(n)
-    cb = np.zeros(n)
-    ca[:a.size] = a
-    cb[:b.size] = b
-    return float(np.max(np.cumsum(cb) - np.cumsum(ca)))
+def partial_sum_deficit(a, b):
+    """max_m (sum_{i<=m} b_i - sum_{i<=m} a_i); <= 0 means a majorizes b.
+    A float, or, for spectra stacked along the leading axes of either
+    argument, one deficit per spectrum.  The shorter spectrum is padded
+    with zeros."""
+    a, b = (np.sort(np.asarray(x, dtype=float), axis=-1)[..., ::-1] for x in (a, b))
+    n = max(a.shape[-1], b.shape[-1])
+    a, b = (np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, n - x.shape[-1])]) for x in (a, b))
+    out = np.max(np.cumsum(b, axis=-1) - np.cumsum(a, axis=-1), axis=-1)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +197,11 @@ class SweepReport:
     seed: int
     rejected: int = 0
     rows: tuple[SampleRow, ...] = field(default=(), repr=False)
-    # The vacuum output spectrum and the output spectrum behind each row, for
-    # optimality_reports; arrays, so kept out of == and of the JSON report.
+    # The vacuum output spectrum and the output spectra behind the rows, one
+    # row each, for optimality_reports; arrays, so kept out of == and of the
+    # JSON report.
     vacuum_spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    spectra: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
+    spectra: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -240,26 +245,68 @@ def parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _seeded_draw(evaluate, seed: int, index: int, space: fock.FockSpace, support: int):
-    """Draw sample ``index`` of ``seed`` (retry r < 8 uses the seed triple
-    (seed, index, r)) until ``evaluate(psi) -> (result, leakage)`` leaks at
-    most :data:`LEAKAGE_BUDGET`; returns (result, leakage, retries)."""
-    for retry in range(8):
-        psi = fock.random_pure_state([int(seed), int(index), retry], space, support=support)
-        result, lk = evaluate(psi)
-        if lk <= LEAKAGE_BUDGET:
-            return result, lk, retry
-    raise TruncationLeakage(
-        f"sample ({seed}, {index}) exceeded leakage budget {LEAKAGE_BUDGET:.1e} "
-        "after 8 retries"
-    )
+# A chunk of a majorize batch holds at most BATCH_ENTRIES / dim^2 inputs (40
+# at d = 40, one two-mode input at d = 20), so its stacked output blocks hold
+# at most 1 MB.  Chunk boundaries do not depend on the thread count.
+BATCH_ENTRIES = 1 << 16
 
 
-def _output_spectrum(realized: fock.FockChannel,
-                     state: fock.PureState | fock.FockOperator) -> tuple[np.ndarray, float]:
-    """The output spectrum of ``state`` and its leakage ``1 - sum``."""
-    lam = fock.spectrum(realized.apply(state))
-    return lam, float(1.0 - lam.sum())
+def _seeded_draw(evaluate, seed: int, fixed, indices, space: fock.FockSpace, support: int):
+    """Evaluate the inputs ``fixed`` and the samples ``indices`` of ``seed``
+    as one batch, ``evaluate(states) -> (results, leakages)`` with one entry
+    per state.  Sample ``index`` at retry r is drawn from the seed triple
+    (seed, index, r); the samples that leak more than
+    :data:`LEAKAGE_BUDGET` are redrawn at the next retry, all of them as one
+    batch per round, up to retry 7.  Returns (results, leakages, retries)
+    over ``fixed`` (never redrawn, retry 0) then the samples."""
+    def draw(retry: int, idxs) -> list[fock.PureState]:
+        return [fock.random_pure_state([int(seed), int(i), retry], space, support=support)
+                for i in idxs]
+
+    def over_budget(positions, leaks) -> list[int]:
+        return [p for p, lk in zip(positions, np.asarray(leaks).tolist())
+                if not lk <= LEAKAGE_BUDGET]
+
+    first = len(fixed)
+    results, leakages = (np.array(x) for x in evaluate(list(fixed) + draw(0, indices)))
+    retries = np.zeros(len(leakages), dtype=int)
+    pending = over_budget(range(first, len(leakages)), leakages[first:])
+    for retry in range(1, 8):
+        if not pending:
+            break
+        redrawn, leaks = evaluate(draw(retry, [indices[p - first] for p in pending]))
+        results[pending], leakages[pending], retries[pending] = redrawn, leaks, retry
+        pending = over_budget(pending, leaks)
+    if pending:
+        raise TruncationLeakage(
+            f"sample ({seed}, {indices[pending[0] - first]}) exceeded leakage budget "
+            f"{LEAKAGE_BUDGET:.1e} after 8 retries"
+        )
+    return results, leakages, retries
+
+
+def _sampling_pass(evaluate, fixed, seed: int, n_samples: int, space: fock.FockSpace,
+                   support: int, threads: int, chunk: int):
+    """:func:`_seeded_draw` over the inputs ``fixed`` then samples
+    0 .. n_samples - 1, cut into contiguous chunks of ``chunk`` inputs, which
+    ``threads`` map.  Every chunk is evaluated the same way on any thread
+    count, and the results are concatenated in order."""
+    total, first = len(fixed) + n_samples, len(fixed)
+
+    def run(start: int):
+        stop = min(start + chunk, total)
+        return _seeded_draw(evaluate, seed, fixed[start:min(stop, first)],
+                            range(max(start, first) - first, stop - first), space, support)
+
+    parts = parallel_map(run, range(0, total, chunk), threads)
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _output_spectra(realized: fock.FockChannel, states):
+    """The output spectra of a sequence of pure states, one row each, and
+    their leakages ``1 - sum``; of one state or operator, one spectrum."""
+    lam = fock.spectrum(realized.apply(states))
+    return lam, 1.0 - lam.sum(axis=-1)
 
 
 def optimality_sweep(ch: GaugeCovariantChannel, fs, n_samples: int, seed: int,
@@ -280,11 +327,12 @@ def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
     the vacuum value, the lowest input value (the first input attaining it
     names the report) and their gap."""
     samples = sum(row.seed != "probe" for row in sweep.rows)
-    stacked = np.stack((sweep.vacuum_spectrum,) + sweep.spectra)
+    stacked = np.vstack((sweep.vacuum_spectrum, sweep.spectra))
     reports = []
     for f in fs:
+        label = f.label
         vacuum_value, *values = trace_functional(stacked, f).tolist()
-        rows = [SampleRow(seed=row.seed, label=row.label, functional=f.label,
+        rows = [SampleRow(seed=row.seed, label=row.label, functional=label,
                           value=v, gap=v - vacuum_value, leakage=row.leakage)
                 for row, v in zip(sweep.rows, values)]
         best_value, best_input = min(((r.value, r.label) for r in rows),
@@ -292,7 +340,7 @@ def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
         reports.append(OptimalityReport(
             vacuum_value=vacuum_value, best_sampled_value=best_value,
             best_input_descriptor=best_input, gap=best_value - vacuum_value,
-            samples=samples, seed=sweep.seed, functional=f.label,
+            samples=samples, seed=sweep.seed, functional=label,
             rejected=sweep.rejected, rows=tuple(rows)))
     return reports
 
@@ -302,44 +350,38 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
                        threads: int = 1) -> SweepReport:
     """Check that the vacuum-output spectrum majorizes every sampled output.
 
-    The one sampling pass: the output spectra of the vacuum, the one-mode
-    probes and ``n_samples`` seeded samples (each redrawn until it leaks
-    at most the budget) are computed once and kept on the report for
-    :func:`optimality_reports`.  Leakage mass is left as a zero tail (never
-    renormalized), which only lowers the sampled partial sums.  The worst
-    input is the first to reach the largest deficit, and none ("") when that
-    deficit is within :data:`MAJORIZATION_TOL`.
+    The one sampling pass: the vacuum, the one-mode probes and
+    ``n_samples`` seeded samples go through the channel as one batch, with
+    one kernel call and one stacked spectrum, and the samples that leak
+    past the budget are redrawn as one batch per retry round; ``threads``
+    map contiguous chunks of the batch.  The output spectra are kept on the
+    report for :func:`optimality_reports`.  Leakage mass is left as a zero
+    tail (never renormalized), which only lowers the sampled partial sums.
+    The worst input is the first to reach the largest deficit, and none
+    ("") when that deficit is within :data:`MAJORIZATION_TOL`.
     """
     space = fock.FockSpace(ch.modes, cutoff)
     realized = fock.realize_channel(ch, space)
-    spectrum_of = functools.partial(_output_spectrum, realized)
-    vac, _ = spectrum_of(fock.vacuum_state(space))
-    inputs = []  # (seed tag, label, spectrum, leakage)
-    if ch.modes == 1:
-        for tag, probe in default_pure_probes(space):
-            inputs.append(("probe", tag, *spectrum_of(probe)))
-
-    def draw(idx: int) -> tuple[str, np.ndarray, float, int]:
-        lam, lk, retry = _seeded_draw(spectrum_of, seed, idx, space, sample_support)
-        tag = f"haar[{seed},{idx}]" if retry == 0 else f"haar[{seed},{idx},{retry}]"
-        return tag, lam, lk, retry
-
-    samples = parallel_map(draw, range(n_samples), threads)
-    inputs += [(str(seed), tag, lam, lk) for tag, lam, lk, _ in samples]
-    rows = []
-    for seed_tag, tag, lam, lk in inputs:
-        deficit = partial_sum_deficit(vac, lam)
-        rows.append(SampleRow(seed=seed_tag, label=tag, functional="partial-sums",
-                              value=deficit, gap=deficit, leakage=lk))
+    probes = default_pure_probes(space) if ch.modes == 1 else []
+    fixed = [fock.vacuum_state(space)] + [probe for _, probe in probes]
+    spectra, leakages, retries = _sampling_pass(
+        functools.partial(_output_spectra, realized), fixed, seed, n_samples, space,
+        sample_support, threads, max(1, BATCH_ENTRIES // space.dim ** 2))
+    labels = [("probe", tag) for tag, _ in probes] + [
+        (str(seed), f"haar[{seed},{idx}]" if retry == 0 else f"haar[{seed},{idx},{retry}]")
+        for idx, retry in enumerate(retries[len(fixed):].tolist())]
+    deficits = partial_sum_deficit(spectra[0], spectra[1:]).tolist()
+    rows = [SampleRow(seed=seed_tag, label=tag, functional="partial-sums",
+                      value=deficit, gap=deficit, leakage=lk)
+            for (seed_tag, tag), deficit, lk in zip(labels, deficits, leakages[1:].tolist())]
     worst_deficit, worst_input = max(((r.value, r.label) for r in rows),
                                      key=lambda vt: vt[0], default=(-np.inf, ""))
     if worst_deficit <= MAJORIZATION_TOL:  # round-off names no input
         worst_input = ""
     return SweepReport(passes=sum(r.value <= MAJORIZATION_TOL for r in rows), total=len(rows),
                        worst_deficit=worst_deficit, worst_input=worst_input, seed=seed,
-                       rejected=sum(retries for *_, retries in samples),
-                       rows=tuple(rows), vacuum_spectrum=vac,
-                       spectra=tuple(lam for _, _, lam, _ in inputs))
+                       rejected=int(retries.sum()), rows=tuple(rows),
+                       vacuum_spectrum=spectra[0], spectra=spectra[1:])
 
 
 def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
@@ -348,34 +390,38 @@ def strict_gap_probe(ch: GaugeCovariantChannel, f: ConcaveFunctional,
 
     Requires a strictly concave functional and a channel satisfying one of
     the two strict-minimizer conditions; the observed gaps are reported
-    without an a-priori threshold.  The coherent probe coherent(0.7) is
-    evaluated at cutoff max(cutoff, 80) as the equality sanity check.
+    without an a-priori threshold.  The vacuum and the pure probes go
+    through the channel as one batch.  The coherent probe coherent(0.7) is
+    evaluated at cutoff max(cutoff, 80), in one batch with that cutoff's
+    vacuum, as the equality sanity check.
     """
     if not f.strictly_concave:
         raise ConditionNotMet(f"{f.label} is not strictly concave")
     strict = strictness_conditions(ch)
     if not (strict.condition_a or strict.condition_b):
         raise ConditionNotMet("channel satisfies neither strict-minimizer condition")
-    def value_of(realized: fock.FockChannel, state) -> float:
-        return trace_functional(_output_spectrum(realized, state)[0], f)
+
+    def values_of(realized: fock.FockChannel, states):
+        return trace_functional(_output_spectra(realized, states)[0], f)
 
     space = fock.FockSpace(ch.modes, cutoff)
     realized = fock.realize_channel(ch, space)
-    vac = value_of(realized, fock.vacuum_state(space))
+    pure = default_pure_probes(space)
+    vac, *pure_values = values_of(realized, [fock.vacuum_state(space)]
+                                  + [probe for _, probe in pure]).tolist()
+    rows = [StrictGapRow(label=tag, kind="pure", value=v, gap=v - vac)
+            for (tag, _), v in zip(pure, pure_values)]
     coh = fock.coherent_state(0.7, space)
     dephased = fock.FockOperator(space=space,
                                  matrix=np.diag(np.abs(coh.amplitudes) ** 2).astype(complex))
-    probes = [(tag, "pure", probe) for tag, probe in default_pure_probes(space)]
-    probes += [("thermal(0.3)", "mixed", fock.thermal_state(0.3, space)),
-               ("dephased-coherent(0.7)", "mixed", dephased)]
-    rows = []
-    for tag, kind, probe in probes:
-        v = value_of(realized, probe)
-        rows.append(StrictGapRow(label=tag, kind=kind, value=v, gap=v - vac))
+    for tag, probe in (("thermal(0.3)", fock.thermal_state(0.3, space)),
+                       ("dephased-coherent(0.7)", dephased)):
+        v = values_of(realized, probe)
+        rows.append(StrictGapRow(label=tag, kind="mixed", value=v, gap=v - vac))
     big_space = fock.FockSpace(ch.modes, max(cutoff, 80))
-    big = fock.realize_channel(ch, big_space)
-    vac_big = value_of(big, fock.vacuum_state(big_space))
-    coh_value = value_of(big, fock.coherent_state(0.7, big_space))
+    vac_big, coh_value = values_of(fock.realize_channel(ch, big_space),
+                                   [fock.vacuum_state(big_space),
+                                    fock.coherent_state(0.7, big_space)]).tolist()
     rows.append(StrictGapRow(label="coherent(0.7)", kind="coherent",
                              value=coh_value, gap=coh_value - vac_big))
     min_gap = min(r.gap for r in rows if r.kind != "coherent")
@@ -406,26 +452,22 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
     space = fock.FockSpace(2, cutoff)
     realized = fock.realize_channel(tensor_channel(a, b), space)
 
-    def purity_of(psi: fock.PureState) -> tuple[float, float]:
-        out = realized.apply(psi)
-        return fock.trace_power(out, p), fock.leakage(out)
+    def purity_of(states) -> tuple[list[float], list[float]]:
+        # chunks of one state: a common box would enlarge every output
+        outs = [realized.apply(psi) for psi in states]
+        return [fock.trace_power(out, p) for out in outs], [fock.leakage(out) for out in outs]
 
-    vacuum_value, _ = purity_of(fock.vacuum_state(space))
-    outcomes = parallel_map(
-        lambda idx: _seeded_draw(purity_of, seed, idx, space, 3),
-        range(n_samples), threads)
-    rows = []
-    rejected = 0
-    max_value = -np.inf
-    for idx, (value, lk, retries) in enumerate(outcomes):
-        rejected += retries
-        rows.append(SampleRow(seed=str(seed), label=f"haar2[{seed},{idx}]",
-                              functional=f"purity(p={p:g})",
-                              value=value, gap=value - bound, leakage=lk))
-        max_value = max(max_value, value)
-    return AdditivityReport(bound=bound, vacuum_value=vacuum_value,
-                            max_sample_value=max_value, samples=n_samples,
-                            seed=seed, order=p, rejected=rejected, rows=tuple(rows))
+    values, leakages, retries = _sampling_pass(purity_of, [fock.vacuum_state(space)], seed,
+                                               n_samples, space, 3, threads, 1)
+    rows = tuple(SampleRow(seed=str(seed), label=f"haar2[{seed},{idx}]",
+                           functional=f"purity(p={p:g})", value=value, gap=value - bound,
+                           leakage=lk)
+                 for idx, (value, lk) in enumerate(zip(values[1:].tolist(),
+                                                       leakages[1:].tolist())))
+    return AdditivityReport(bound=bound, vacuum_value=float(values[0]),
+                            max_sample_value=max((r.value for r in rows), default=-np.inf),
+                            samples=n_samples, seed=seed, order=p,
+                            rejected=int(retries.sum()), rows=rows)
 
 
 # ---------------------------------------------------------------------------

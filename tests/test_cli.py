@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -349,23 +350,51 @@ class TestSweepCommands:
         assert report["leakage"]["rejected"] == sweep.rejected
 
     def test_majorize_computes_each_output_spectrum_once(self, monkeypatch, tmp_path, files):
-        # one spectrum for the vacuum, each of the four probes and each draw,
-        # redrawn ones included; the functionals and the partial sums both
-        # reduce those same spectra
-        calls = []
-        spectrum = fock.spectrum
+        # the vacuum, the four probes and the six draws go through the channel
+        # as one batch: one apply and one stacked spectrum; each redraw round
+        # is one more batch, of the draws still over the leakage budget; the
+        # functionals and the partial sums both reduce those same spectra
+        applies, spectra = [], []
+        apply, spectrum = fock.FockChannel.apply, fock.spectrum
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return spectrum(*args, **kwargs)
+        def counted_apply(self, states):
+            applies.append(len(states))
+            return apply(self, states)
 
-        monkeypatch.setattr(fock, "spectrum", counted)
+        def counted_spectrum(rho):
+            out = spectrum(rho)
+            spectra.append(len(out))
+            return out
+
+        monkeypatch.setattr(fock.FockChannel, "apply", counted_apply)
+        monkeypatch.setattr(fock, "spectrum", counted_spectrum)
+        rows = tmp_path / "rows.csv"
         code, report = run_to_file(tmp_path, ["majorize", files["amp15"], "--samples", "6",
-                                              "--seed", "1", "--cutoff", "35"])
+                                              "--seed", "1", "--cutoff", "35",
+                                              "--csv", str(rows)])
         assert code == 0
-        rejected = report["leakage"]["rejected"]
-        assert rejected >= 1
-        assert len(calls) == 1 + 4 + 6 + rejected
+        # a redrawn label is haar[seed,index,retry]
+        labels = {row["input"] for row in csv.DictReader(rows.read_text().splitlines())
+                  if row["input"].startswith("haar[")}
+        retries = [int(label[:-1].split(",")[2]) if label.count(",") == 2 else 0
+                   for label in labels]
+        assert len(retries) == 6 and max(retries) >= 2
+        assert applies == spectra
+        assert len(applies) == 1 + max(retries)
+        assert applies[0] == 1 + 4 + 6
+        assert applies[1:] == [sum(r >= k for r in retries) for k in range(1, max(retries) + 1)]
+        assert sum(applies[1:]) == report["leakage"]["rejected"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_majorize_exits_two_when_a_sample_exhausts_its_retries(self, tmp_path, capsys,
+                                                                   files, threads):
+        # at cutoff 10 every draw of sample 0 through amplifier(1.5) leaks
+        code, report = run_to_file(tmp_path, ["majorize", files["amp15"], "--samples", "3",
+                                              "--seed", "1", "--cutoff", "10",
+                                              "--threads", threads])
+        assert code == 2 and report is None
+        assert ("TruncationLeakage: sample (1, 0) exceeded leakage budget 1.0e-06 after 8 "
+                "retries") in capsys.readouterr().err
 
     def test_berezinlieb_applies_the_channel_and_evaluates_rescaled_nodes_once(
             self, monkeypatch, tmp_path):

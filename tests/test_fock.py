@@ -681,6 +681,62 @@ class TestBoxSpectrum:
             fock.spectrum(fock.FockOperator(space40, m))
 
 
+class TestStackedBatch:
+    """A sequence of pure states goes through the kernel as one stack, and
+    spectrum reads it row by row, bit for bit as one state at a time."""
+
+    @staticmethod
+    def _batch(space, seed):
+        # what a majorize sweep stacks: the vacuum, one-mode probes and samples
+        # of one support
+        states = [fock.vacuum_state(space)]
+        if space.modes == 1:
+            states += [fock.number_state(space, 1),
+                       fock.pure_state(space, np.r_[1.0, 1.0, np.zeros(space.cutoff - 2)]
+                                       / np.sqrt(2))]
+        return states + [fock.random_pure_state([seed, i], space, support=5 - space.modes)
+                         for i in range(4)]
+
+    @pytest.mark.parametrize("ch,space", [
+        (attenuator_channel(0.6), FockSpace(1, 40)),
+        (amplifier_channel(1.5), FockSpace(1, 35)),
+        (classical_noise_channel(0.5), FockSpace(1, 40)),
+        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), FockSpace(2, 16)),
+        (tensor_channel(amplifier_channel(1.2), attenuator_channel(0.6)), FockSpace(2, 16)),
+    ], ids=["att", "amp", "noise", "att-amp", "amp-att"])
+    def test_rows_match_one_state_at_a_time(self, ch, space):
+        realized = fock.realize_channel(ch, space)
+        states = self._batch(space, 4)
+        stacked = realized.apply(states)
+        assert stacked.diagonals.shape[-1] == len(states)
+        lam = fock.spectrum(stacked)
+        assert lam.shape == (len(states), space.dim)
+        for row, psi in zip(lam, states):
+            assert row.tobytes() == fock.spectrum(realized.apply(psi)).tobytes()
+
+    def test_eigensolves_only_rows_with_off_diagonal_entries(self, monkeypatch):
+        # the vacuum and fock(1) stay Fock-diagonal: read off their diagonals
+        space = FockSpace(1, 40)
+        realized = fock.realize_channel(attenuator_channel(0.6), space)
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+        fock.spectrum(realized.apply(self._batch(space, 1)))
+        assert shapes == [(5, 4, 4)]
+
+    @pytest.mark.parametrize("defect,error", [("skew", NotHermitian), ("negative", InvalidState)])
+    def test_checks_each_sample(self, defect, error):
+        space = FockSpace(1, 40)
+        out = fock.realize_channel(amplifier_channel(1.5), space).apply(self._batch(space, 2))
+        y = out.diagonals.copy()
+        center = fock._center(out.widths)
+        if defect == "skew":  # rho[0, 1] of the last sample only
+            y[center[0] + 1, 0, -1] += 1e-6
+        else:  # the vacuum output, read off its diagonal
+            y[center + (out.boxes[0] - 1, 0)] = -1e-6
+        with pytest.raises(error):
+            fock.spectrum(FockOperator.from_diagonals(space, y, out.boxes, out.widths))
+
+
 class TestTracePower:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5])
     @pytest.mark.parametrize("input_kind", ["sample", "vacuum"])

@@ -14,7 +14,7 @@ from gausslab.channels import (
     attenuator_channel,
     identity_channel,
 )
-from gausslab.errors import ConditionNotMet, InvalidState, NotHermitian
+from gausslab.errors import ConditionNotMet, InvalidState, NotHermitian, TruncationLeakage
 from gausslab.majorization import (
     LEAKAGE_BUDGET,
     MAJORIZATION_TOL,
@@ -136,6 +136,16 @@ class TestMajorizes:
     def test_unequal_lengths_pad_with_zeros(self):
         assert majorizes([0.7, 0.3], [0.5, 0.3, 0.2])
 
+    def test_stacked_spectra_give_the_deficit_of_each_row(self):
+        # one deficit per row, bit for bit the deficit of that row alone
+        rng = np.random.default_rng(3)
+        a = rng.dirichlet(np.ones(6))
+        b = rng.dirichlet(np.ones(5), size=4)
+        stacked = partial_sum_deficit(a, b)
+        assert stacked.shape == (4,)
+        assert stacked.tolist() == [partial_sum_deficit(a, row) for row in b]
+        assert partial_sum_deficit(b, a).tolist() == [partial_sum_deficit(row, a) for row in b]
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4),
            st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4))
     @settings(max_examples=200, deadline=None)
@@ -233,15 +243,12 @@ class TestMajorizationSweep:
     def test_failing_deficit_names_its_input(self, monkeypatch, amp15):
         # a pure output spectrum for the second probe, fock(2), is not
         # majorized by the thermal vacuum output of amplifier(1.5)
-        calls = []
         spectrum = fock.spectrum
 
         def faulty(rho):
-            calls.append(1)
-            lam = spectrum(rho)
-            if len(calls) == 3:  # the vacuum, fock(1), then fock(2)
-                lam = np.zeros_like(lam)
-                lam[0] = 1.0
+            lam = spectrum(rho)  # one row per input: the vacuum, fock(1), fock(2), ...
+            lam[2] = 0.0
+            lam[2, 0] = 1.0
             return lam
 
         monkeypatch.setattr(fock, "spectrum", faulty)
@@ -250,10 +257,32 @@ class TestMajorizationSweep:
         assert rep.worst_input == "fock(2)"
         assert rep.passes == rep.total - 1
 
-    def test_threads_do_not_change_results(self, amp15):
-        a = mj.majorization_sweep(amp15, n_samples=16, seed=3, cutoff=40, threads=1)
-        b = mj.majorization_sweep(amp15, n_samples=16, seed=3, cutoff=40, threads=4)
-        assert a == b
+    def test_threads_do_not_change_results(self, monkeypatch, amp15):
+        # threads map the chunks of one batch (four inputs each when chunk is
+        # 4), each chunk with its own redraw rounds (cutoff 35 redraws); the
+        # spectra, which == skips, must match bit for bit
+        for n_samples, seed, cutoff in ((16, 3, 40), (6, 1, 35)):
+            for chunk in (None, 4):
+                with monkeypatch.context() as patch:
+                    if chunk:
+                        patch.setattr(mj, "BATCH_ENTRIES", chunk * cutoff ** 2)
+                    a, b = (mj.majorization_sweep(amp15, n_samples=n_samples, seed=seed,
+                                                  cutoff=cutoff, threads=threads)
+                            for threads in (1, 4))
+                assert a == b
+                assert (a.rejected > 0) == (cutoff == 35)
+                assert a.vacuum_spectrum.tobytes() == b.vacuum_spectrum.tobytes()
+                assert a.spectra.shape == b.spectra.shape == (4 + n_samples, cutoff)
+                for x, y in zip(a.spectra, b.spectra):
+                    assert x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_retry_exhaustion_names_the_lowest_sample(self, threads):
+        # at cutoff 10 every draw of sample 0 through amplifier(1.5) leaks
+        with pytest.raises(TruncationLeakage) as err:
+            mj.majorization_sweep(amplifier_channel(1.5), 3, 1, cutoff=10, threads=threads)
+        assert str(err.value) == ("sample (1, 0) exceeded leakage budget 1.0e-06 "
+                                  "after 8 retries")
 
 
 class TestOptimizeInput:
