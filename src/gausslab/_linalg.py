@@ -54,6 +54,12 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller: freeze them."""
+    a.flags.writeable = False
+    return a
+
+
 def unitary_expm(g: np.ndarray) -> np.ndarray:
     """exp(g) for anti-Hermitian g, from the eigh of the Hermitian -i g."""
     w, v = np.linalg.eigh(-1j * g)
@@ -85,14 +91,3 @@ def poisson_cdf(x: float, size: int) -> np.ndarray:
     k = np.arange(size)
     return np.exp(np.logaddexp.accumulate(xlogy(k, x) - x - log_factorial(k)))
 
-
-def next_fast_len(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n, a fast real-FFT length."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best

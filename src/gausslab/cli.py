@@ -252,6 +252,10 @@ def _cmd_strictgap(args) -> dict:
 
 
 def _cmd_wehrl(args) -> dict:
+    if args.grid_radius is None:
+        # the off-grid tail estimate depends on the radius only through
+        # R^2 / (a0 + 1/2), so this gives every a0 the margin of R = 6 at a0 = 1/2
+        args.grid_radius = 6.0 * float(np.sqrt(args.a0 + 0.5))
     grid = hu.make_grid(args.grid_radius, args.grid_step)
     f = _functional(args.f, args.p)
     rep = hu.wehrl_optimality_test(args.a0, n_samples=args.samples, seed=args.seed,
@@ -421,7 +425,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a0", type=reference, default=0.5)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--grid-radius", type=positive, default=6.0)
+    p.add_argument("--grid-radius", type=positive,
+                   help="default 6 sqrt(a0 + 1/2), which is 6 at a0 = 1/2")
     p.add_argument("--grid-step", type=positive, default=0.05)
     p.add_argument("--f", default="vn", choices=("vn", "renyi"))
     p.add_argument("--p", type=order, default=2.0)

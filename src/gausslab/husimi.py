@@ -22,25 +22,33 @@ one) is folded onto its wedge ``0 <= y <= x``: the quarter turn
 conjugation, so every node is one of the 8 images ``i^q w``,
 ``conj(i^q w)`` of a wedge node ``w``.  Coherent columns are built at the
 wedge only, with the 8 images as phased amplitude columns of one product,
-and operators take their distinct radii from the wedge.  A thermal reference with ``kappa^2 = a0 + 1/2`` is
-reduced to it by gauge-covariant channel duality,
+and operators take their distinct radii from the wedge.  What depends on
+the lattice alone (its images, the node-to-image map, the distinct wedge
+radii and each node's index among them) is one read-only plan per lattice,
+cached by its exact axis; grids are cached too, both with
+:data:`gausslab.fock.CACHE_SIZE` entries.  A thermal reference with
+``kappa^2 = a0 + 1/2`` is reduced to it by gauge-covariant channel duality,
 ``p^{a0}_rho(z) = kappa^-2 Q_{L[rho]}(z / kappa)``, where ``L`` is the
 quantum-limited attenuator of transmission ``1/kappa`` applied as one Fock
 stage to the state itself, pure or mixed (:func:`gausslab.fock.apply_kraus`).
 :func:`berezin_lieb_fields` makes one pass per input (one channel
 application, one evaluation at the rescaled nodes, one smoothing) and the
-sandwich and convolution checks reduce it.
+sandwich and convolution checks reduce it.  The smoothing is separable: the
+normal density factorizes into its x and y parts, so it is two real matrix
+products with one Toeplitz matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import fock
-from ._linalg import log_factorial, next_fast_len, poisson_cdf
+from ._linalg import log_factorial, poisson_cdf, readonly
 from .channels import GaugeCovariantChannel, build_channel
 from .errors import (
     DimensionMismatch,
@@ -77,9 +85,11 @@ class PhaseSpaceGrid:
     def weight(self) -> float:
         return self.step ** 2 / np.pi
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return self.axis[:, None] + 1j * self.axis[None, :]
+        """The lattice ``axis[:, None] + 1j * axis[None, :]``, built once per
+        grid and read-only."""
+        return readonly(self.axis[:, None] + 1j * self.axis[None, :])
 
     def integrate(self, values: np.ndarray) -> float:
         return float(values[self.mask].sum() * self.weight)
@@ -90,17 +100,22 @@ class PhaseSpaceGrid:
                               axis=c * self.axis, mask=self.mask)
 
 
+@functools.lru_cache(maxsize=fock.CACHE_SIZE)
 def make_grid(radius: float = 6.0, step: float = 0.05) -> PhaseSpaceGrid:
+    """The grid of ``radius`` and ``step``, checked to integrate the vacuum
+    density to 1 within 1e-6.  Grids are cached (:data:`fock.CACHE_SIZE`
+    entries, shared by every caller, their arrays read-only); a rejected
+    grid is not, so its error is raised on every call."""
     if step <= 0:
         raise QuadratureError("grid step must be positive")
     if radius / step > 400:
         raise QuadratureError(f"radius/step = {radius / step:.0f} exceeds 400 per axis")
     n = int(round(radius / step))
-    axis = step * np.arange(-n, n + 1)
-    nodes = axis[:, None] + 1j * axis[None, :]
-    mask = np.abs(nodes) <= radius + 1e-12
-    grid = PhaseSpaceGrid(radius=float(radius), step=float(step), axis=axis, mask=mask)
-    norm = grid.integrate(np.exp(-np.abs(nodes) ** 2))
+    axis = readonly(step * np.arange(-n, n + 1))
+    r = np.abs(axis[:, None] + 1j * axis[None, :])
+    grid = PhaseSpaceGrid(radius=float(radius), step=float(step), axis=axis,
+                          mask=readonly(r <= radius + 1e-12))
+    norm = grid.integrate(np.exp(-r ** 2))
     if abs(norm - 1.0) > 1e-6:
         raise QuadratureError(f"vacuum-density quadrature is {norm!r}, expected 1 +/- 1e-6")
     return grid
@@ -220,30 +235,83 @@ def _gauge_images(z: np.ndarray) -> np.ndarray:
 
     A lattice ``z = x[:, None] + 1j * x[None, :]`` whose axis is symmetric
     (``x == -x[::-1]``), both checked exactly, folds onto its wedge, the W
-    nodes at axis offsets 0 <= b <= a from the centre.  Negating an axis
-    entry is reversing the axis, so its 8 rows hold the nodes i^q w
-    (row q < 4) and conj(i^q w) (row 4 + q) of each wedge node w exactly.
-    They cover every node; the wedge's edges (b = 0, b = a and the centre)
-    appear in several rows.  Any other node array, including one with a
-    non-finite node, is one row of every node in order.
+    nodes at axis offsets 0 <= b <= a from the centre; its images are read
+    off its cached :func:`_lattice_plan`.  Any other node array, including
+    one with a non-finite node, is one row of every node in order.
     """
     if z.ndim == 2 and z.shape[0] == z.shape[1]:
         x = z.real[:, 0]
         if (np.array_equal(x, -x[::-1]) and (z.real == x[:, None]).all()
                 and (z.imag == x[None, :]).all()):
-            n, centre = x.size, x.size // 2
-            a = np.repeat(np.arange(n - centre), np.arange(1, n - centre + 1))
-            b = np.arange(a.size) - a * (a + 1) // 2  # 0 <= b <= a, a-major
-            a, b = a + centre, b + centre
-            ma, mb = n - 1 - a, n - 1 - b  # the axis indices of -x[a], -x[b]
-            an, bn, man, mbn = a * n, b * n, ma * n, mb * n
-            images = np.empty((8, a.size), dtype=np.intp)
-            for row, (i, j) in zip(images, (
-                    (an, b), (mbn, a), (man, mb), (bn, ma),  # w, i w, -w, -i w
-                    (an, mb), (mbn, ma), (man, b), (bn, a))):  # their conjugates
-                np.add(i, j, out=row)
-            return images
+            return _lattice_plan(x.tobytes()).images
     return np.arange(z.size)[None, :]
+
+
+@dataclass(frozen=True)
+class _NodePlan:
+    """What :func:`husimi_values` derives from its nodes alone, read-only.
+
+    ``images`` are the :func:`_gauge_images`; ``source`` maps each flat node
+    to the flat index, in ``images``, of one image that lands on it.  Each
+    of ``chunks`` is a slice of :data:`NODE_CHUNK` flat nodes, the distinct
+    wedge radii its nodes take, ascending, and each node's index among them.
+    """
+
+    images: np.ndarray
+    source: np.ndarray
+    chunks: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
+
+    @classmethod
+    def build(cls, z_flat: np.ndarray, images: np.ndarray) -> _NodePlan:
+        source = np.empty(z_flat.size, dtype=np.intp)
+        source[images.ravel()] = np.arange(images.size)
+        # the distinct radii come from one sort of the wedge's, which are
+        # also those of its images, and each node's index from its wedge node
+        radii, inv = np.unique(np.abs(z_flat[images[0]]), return_inverse=True)
+        radius = np.empty(z_flat.size, dtype=np.intp)
+        radius[images] = inv
+        chunks = []
+        for start in range(0, z_flat.size, NODE_CHUNK):
+            sl = slice(start, start + NODE_CHUNK)
+            present = np.zeros(radii.size, dtype=bool)
+            present[radius[sl]] = True
+            chunks.append((sl, readonly(radii[present]),
+                           readonly((np.cumsum(present) - 1)[radius[sl]])))
+        return cls(readonly(images), readonly(source), tuple(chunks))
+
+
+@functools.lru_cache(maxsize=fock.CACHE_SIZE)
+def _lattice_plan(axis: bytes) -> _NodePlan:
+    """The plan of the lattice on the symmetric axis x (its float64 bytes),
+    cached (:data:`fock.CACHE_SIZE` entries).
+
+    Negating an axis entry is reversing the axis, so the 8 rows of its
+    images hold the nodes i^q w (row q < 4) and conj(i^q w) (row 4 + q) of
+    each wedge node w exactly.  They cover every node; the wedge's edges
+    (b = 0, b = a and the centre) appear in several rows.
+    """
+    x = np.frombuffer(axis)
+    n, centre = x.size, x.size // 2
+    a = np.repeat(np.arange(n - centre), np.arange(1, n - centre + 1))
+    b = np.arange(a.size) - a * (a + 1) // 2  # 0 <= b <= a, a-major
+    a, b = a + centre, b + centre
+    ma, mb = n - 1 - a, n - 1 - b  # the axis indices of -x[a], -x[b]
+    an, bn, man, mbn = a * n, b * n, ma * n, mb * n
+    images = np.empty((8, a.size), dtype=np.intp)
+    for row, (i, j) in zip(images, (
+            (an, b), (mbn, a), (man, mb), (bn, ma),  # w, i w, -w, -i w
+            (an, mb), (mbn, ma), (man, b), (bn, a))):  # their conjugates
+        np.add(i, j, out=row)
+    return _NodePlan.build((x[:, None] + 1j * x[None, :]).ravel(), images)
+
+
+def _node_plan(z: np.ndarray) -> _NodePlan:
+    """The cached plan of a lattice; any other node array gets a plan built
+    for this call alone."""
+    images = _gauge_images(z)
+    if len(images) > 1:
+        return _lattice_plan(z.real[:, 0].tobytes())
+    return _NodePlan.build(z.ravel(), images)
 
 
 def _image_amplitudes(stacked: np.ndarray, images: int) -> np.ndarray:
@@ -270,8 +338,10 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
     0 <= y <= x by gauge covariance: a quarter turn z -> i z is the gauge
     rotation e^{i pi N/2} and z -> conj(z) is conjugation, so every node is
     one of the 8 images i^q w, conj(i^q w) of a wedge node w
-    (:func:`_gauge_images`).  Any other node array is its own wedge, with
-    one image.
+    (:func:`_gauge_images`).  What the evaluation derives from a lattice
+    alone is its cached :func:`_lattice_plan`.  Any other node array is its
+    own wedge, with one image, and its plan is built for the call and not
+    kept.
 
     - Pure states are evaluated on coherent columns.  Per chunk of
       :data:`NODE_CHUNK` wedge nodes the columns <m|D(w)|0>, cropped to the
@@ -281,12 +351,11 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
       every node then reads its value off one image that lands on it.
     - Operators are evaluated in polar form at every node, by gauge
       covariance: Q(r e^{i theta}) = sum_{|k|<w} e^{ik theta} g_k(r) over
-      the w occupied diagonals (:func:`_polar_values`).  The distinct radii
-      come from one sort of the wedge's radii, which are also those of its
-      images, and each node's index among them from its wedge node.  Per
-      chunk of :data:`NODE_CHUNK` nodes a Poisson table is built once at
-      the chunk's distinct radii, and each operator is one product of it
-      with its weighted diagonals.  There is no eigensolve.
+      the w occupied diagonals (:func:`_polar_values`).  The plan holds the
+      distinct radii of each chunk of :data:`NODE_CHUNK` nodes and each
+      node's index among them.  Per chunk a Poisson table is built once at
+      those radii, and each operator is one product of it with its
+      weighted diagonals.  There is no eigensolve.
 
     A thermal reference reduces to the vacuum one by attenuator duality:
     p(z) = kappa^-2 Q_{L[state]}(z / kappa) with kappa^2 = a0 + 1/2, where L
@@ -319,7 +388,8 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
         attenuator = fock.attenuator_kraus(1.0 / kappa, space)
         states = [fock.apply_kraus(attenuator, s) for s in states]
         z_flat, scale = z_flat / kappa, kappa ** -2
-    images = _gauge_images(z_flat.reshape(np.shape(z_nodes)))
+    plan = _node_plan(z_flat.reshape(np.shape(z_nodes)))
+    images = plan.images
     out = np.empty((len(states), z_flat.size))
     pure = [row for row, s in enumerate(states) if isinstance(s, fock.PureState)]
     if pure:
@@ -336,24 +406,14 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
             np.square(product.real, out=block)
             block += np.square(product.imag)
         # each node reads one of the images that land on it
-        source = np.empty(z_flat.size, dtype=np.intp)
-        source[images.ravel()] = np.arange(images.size)
-        out[pure] = imaged.reshape(len(pure), -1).take(source, axis=1)
+        out[pure] = imaged.reshape(len(pure), -1).take(plan.source, axis=1)
     operators = [(row, _diagonals(s)) for row, s in enumerate(states)
                  if isinstance(s, fock.FockOperator)]
     if operators:
         box = max(diagonals.shape[0] for _, diagonals in operators)
-        radii, inv = np.unique(np.abs(z_flat[images[0]]), return_inverse=True)
-        radius = np.empty(z_flat.size, dtype=np.intp)  # node -> index into radii
-        radius[images] = inv
-        for start in range(0, z_flat.size, NODE_CHUNK):
-            sl = slice(start, start + NODE_CHUNK)
-            # the chunk's distinct radii, in order, and each node's among them
-            present = np.zeros(radii.size, dtype=bool)
-            present[radius[sl]] = True
-            inv = (np.cumsum(present) - 1)[radius[sl]]
-            poisson = np.empty((box, int(np.count_nonzero(present))))
-            for level, magnitude in zip(poisson, _radial_rows(radii[present], box)):
+        for sl, radii, inv in plan.chunks:
+            poisson = np.empty((box, radii.size))
+            for level, magnitude in zip(poisson, _radial_rows(radii, box)):
                 np.square(magnitude, out=level)
             for row, diagonals in operators:
                 out[row, sl] = _polar_values(diagonals, poisson, inv, z_flat[sl])
@@ -415,14 +475,6 @@ def classical_functional(field: HusimiField, f: ConcaveFunctional) -> float:
     Requires f(0) = 0 so the off-grid tail contributes only through the
     (budgeted) tail mass."""
     return float(np.sum(f(field.values[field.grid.mask])) * field.grid.weight)
-
-
-def normal_density(a: float, grid: PhaseSpaceGrid) -> HusimiField:
-    """Normal density q_a(z) = (2a)^{-1} e^{-|z|^2/(2a)} against d^2z/pi."""
-    if a <= 0:
-        raise ParameterOutOfRange("normal density needs a > 0")
-    values = np.exp(-np.abs(grid.nodes) ** 2 / (2.0 * a)) / (2.0 * a)
-    return HusimiField(grid=grid, values=values, tail_mass=float(np.exp(-grid.radius ** 2 / (2 * a))))
 
 
 def measure_reprepare_channel(c: float, a0: float = 0.5,
@@ -539,13 +591,16 @@ def convolution_check(fields: BerezinLiebFields) -> ConvolutionReport:
 
 def smooth_field(p_in: np.ndarray, c: float, a0p: float,
                  grid: PhaseSpaceGrid) -> np.ndarray:
-    """(p_in * q_{a0'/c^2})(z) on the grid, by FFT lattice convolution: the
-    full linear convolution of the two grid-shaped fields, zero-padded to fast
-    real-FFT lengths, cropped to its centred window of the grid's shape."""
-    kernel = normal_density(_as_reference(a0p).a0 / c ** 2, grid).values
-    padded = [next_fast_len(2 * n - 1) for n in p_in.shape]
-    conv = np.fft.irfft2(np.fft.rfft2(p_in, padded) * np.fft.rfft2(kernel, padded), padded)
-    return conv[tuple(slice((n - 1) // 2, (n - 1) // 2 + n) for n in p_in.shape)] * grid.weight
+    """(p_in * q_{a0'/c^2})(z) on the grid, the lattice convolution of the
+    input with the normal density, as the separable product T p_in T^T:
+    q_a(z) = e^{-|z|^2/2a} / 2a factorizes into its x and y parts, so T is
+    the n x n Toeplitz matrix T[i, j] = e^{-(step (i - j))^2 / 2a}, one
+    strided view of its 2n - 1 offsets."""
+    a = _as_reference(a0p).a0 / c ** 2
+    n = p_in.shape[0]
+    offsets = np.exp(-(grid.step * np.arange(1 - n, n)) ** 2 / (2.0 * a))
+    toeplitz = sliding_window_view(offsets, n)[::-1]  # [i, j] = offsets[n - 1 - i + j]
+    return toeplitz @ p_in @ toeplitz.T * (grid.weight / (2.0 * a))
 
 
 def wehrl_optimality_test(a0: float, n_samples: int, seed: int,

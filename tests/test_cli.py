@@ -314,6 +314,17 @@ class TestSweepCommands:
         assert code == 0
         assert report["results"]["coherent_value"] == pytest.approx(1.0, abs=1e-3)
 
+    @pytest.mark.parametrize("a0,radius", [("0.5", 6.0), ("1.0", 6.0 * np.sqrt(1.5))])
+    def test_wehrl_default_radius_meets_the_tail_budget(self, tmp_path, a0, radius):
+        # R = 6 sqrt(a0 + 1/2) gives every a0 the tail margin of R = 6 at a0 = 1/2;
+        # at a0 = 1 and R = 6, probe-dim 16 is over budget (TailMassTooLarge)
+        argv = ["wehrl", "--a0", a0, "--samples", "2", "--seed", "1", "--grid-step", "0.1"]
+        code, report = run_to_file(tmp_path, argv)
+        assert code == 0
+        assert report["config"]["grid_radius"] == radius
+        assert report["leakage"]["max_tail_mass"] <= 1e-4
+        assert run_to_file(tmp_path, argv + ["--grid-radius", "6"])[0] == (0 if a0 == "0.5" else 2)
+
     def test_berezinlieb(self, tmp_path, files):
         code, report = run_to_file(tmp_path, [
             "berezinlieb", "--c", "1.5", "--probe", "fock1",

@@ -85,6 +85,16 @@ def gaussian_smeared_q(rho: fock.FockOperator, a0: float, z_nodes, order: int = 
     return np.array(out)
 
 
+def normal_density(a: float, grid: hu.PhaseSpaceGrid) -> hu.HusimiField:
+    """Normal density q_a(z) = (2a)^{-1} e^{-|z|^2/(2a)} against d^2z/pi: the
+    two-dimensional smoothing kernel, the reference for the separable one."""
+    if a <= 0:
+        raise ParameterOutOfRange("normal density needs a > 0")
+    values = np.exp(-np.abs(grid.nodes) ** 2 / (2.0 * a)) / (2.0 * a)
+    return hu.HusimiField(grid=grid, values=values,
+                          tail_mass=float(np.exp(-grid.radius ** 2 / (2 * a))))
+
+
 @pytest.fixture(scope="module")
 def grid():
     return hu.make_grid(6.0, 0.05)
@@ -259,6 +269,76 @@ class TestGaugeWedge:
         assert hu._gauge_images(nodes).shape[0] == 1
         with pytest.raises(InvalidState):
             hu.husimi_values(batches[kind], 0.5, nodes)
+
+
+class TestCaches:
+    """Grids and lattice plans are built once per process: the caches are
+    bounded, their arrays read-only, and values do not depend on them."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, space):
+        sigma = fock.realize_channel(hu.measure_reprepare_channel(0.7), space).apply(
+            fock.number_state(space, 1))
+        return [fock.vacuum_state(space), fock.random_pure_state(5, space, support=8), sigma,
+                fock.thermal_state(0.4, space)]
+
+    def test_caches_stay_bounded(self, batch):
+        for i in range(fock.CACHE_SIZE + 3):
+            grid = hu.make_grid(6.0, 0.2 + 0.01 * i)
+            hu.husimi_values(batch, 0.5, grid.nodes)
+        for cache in (hu.make_grid, hu._lattice_plan):
+            info = cache.cache_info()
+            assert info.maxsize == fock.CACHE_SIZE
+            assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("step", [0.2, 0.02], ids=["one-chunk", "23-chunks"])
+    def test_cached_arrays_are_read_only(self, space, step):
+        grid = hu.make_grid(6.0, step)
+        plan = hu._lattice_plan(grid.axis.tobytes())
+        assert hu._gauge_images(grid.nodes) is plan.images
+        assert len(plan.chunks) == -(-grid.nodes.size // hu.NODE_CHUNK)
+        arrays = [grid.axis, grid.mask, grid.nodes, plan.images, plan.source]
+        arrays += [a for _, radii, inv in plan.chunks for a in (radii, inv)]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a.flat[0] = a.flat[0]
+
+    @pytest.mark.parametrize("radius,step", [(6.0, 0.0), (6.0, -0.1), (6.0, 0.01), (2.0, 0.1)],
+                             ids=["zero-step", "negative-step", "radius-over-step",
+                                  "quadrature"])
+    def test_rejected_grids_raise_on_every_call(self, radius, step):
+        for _ in range(3):
+            with pytest.raises(QuadratureError):
+                hu.make_grid(radius, step)
+
+    def test_values_do_not_depend_on_the_cache(self, batch):
+        # (scale, a0): grid, 1.5 grid, 2 grid, and the thermal z / kappa of the grid
+        cases = [(1.0, 0.5), (1.5, 0.5), (2.0, 0.5), (1.0, 1.0)]
+
+        def values(scale, a0):
+            return hu.husimi_values(batch, a0, scale * hu.make_grid(6.0, 0.2).nodes)
+
+        cold = {}
+        for case in cases:
+            hu.make_grid.cache_clear()
+            hu._lattice_plan.cache_clear()
+            cold[case] = values(*case)
+        for case in cases[::-1]:
+            assert np.array_equal(values(*case), cold[case])
+        for i in range(fock.CACHE_SIZE):  # evict every plan above
+            hu.husimi_values(batch[0], 0.5, (3.0 + 0.1 * i) * hu.make_grid(6.0, 0.2).nodes)
+        assert hu._lattice_plan.cache_info().currsize == fock.CACHE_SIZE
+        for case in cases[1::2] + cases[::2]:
+            assert np.array_equal(values(*case), cold[case])
+
+    @pytest.mark.parametrize("a0", [0.5, 1.0])
+    def test_other_node_arrays_add_no_plan(self, batch, a0):
+        nodes = hu.make_grid(6.0, 0.2).nodes
+        hu._lattice_plan.cache_clear()
+        for z in (nodes.ravel(), nodes[:, 1:-1], nodes + 0.1, nodes[30]):
+            hu.husimi_values(batch, a0, z)
+        info = hu._lattice_plan.cache_info()
+        assert (info.currsize, info.misses) == (0, 0)
 
 
 def eigh_husimi_values(state: fock.FockOperator, a0: float, z_nodes) -> np.ndarray:
@@ -472,18 +552,18 @@ class TestClassicalFunctional:
 
 class TestNormalDensity:
     def test_half_matches_vacuum_husimi(self, grid):
-        q = hu.normal_density(0.5, grid)
+        q = normal_density(0.5, grid)
         assert np.abs(q.values - np.exp(-np.abs(grid.nodes) ** 2)).max() < 1e-12
 
     def test_normalization_and_variance(self, grid):
         for a in (0.25, 0.5, 1.3):
-            q = hu.normal_density(a, grid)
+            q = normal_density(a, grid)
             assert q.integral() == pytest.approx(1.0, abs=1e-6)
             var = grid.integrate(np.abs(grid.nodes) ** 2 * q.values)
             assert var == pytest.approx(2 * a, abs=1e-4)
 
     def test_concentrates_as_width_shrinks(self, grid):
-        q = hu.normal_density(0.01, grid)
+        q = normal_density(0.01, grid)
         outside = np.abs(grid.nodes) > 0.5
         mass_outside = q.values[outside & grid.mask].sum() * grid.weight
         assert mass_outside < 1e-5
@@ -540,7 +620,7 @@ class TestSmoothField:
     @pytest.mark.parametrize("c,a0p", [(1.5, 0.5), (2.0, 0.5), (3.0, 1.0)])
     def test_matches_scipy_fft_reference(self, grid, space, c, a0p):
         p_in = hu.husimi_density(fock.coherent_state(0.7, space), 0.5, grid).values
-        kernel = hu.normal_density(a0p / c ** 2, grid).values
+        kernel = normal_density(a0p / c ** 2, grid).values
         padded = [scipy.fft.next_fast_len(2 * n - 1, real=True) for n in p_in.shape]
         conv = scipy.fft.irfft2(scipy.fft.rfft2(p_in, padded) * scipy.fft.rfft2(kernel, padded),
                                 padded)

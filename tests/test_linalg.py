@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.linalg as sla
 from scipy.special import gammaincc, gammaln, xlog1py, xlogy
 from conftest import annihilation, displacement_matrix
@@ -70,11 +69,6 @@ def test_poisson_cdf_matches_gammaincc(radius, n_mean):
     x = radius ** 2 / (n_mean + 1.0)
     reference = gammaincc(np.arange(128) + 1.0, x)
     np.testing.assert_allclose(_linalg.poisson_cdf(x, 128), reference, rtol=1e-13, atol=0)
-
-
-def test_next_fast_len_matches_scipy():
-    assert [_linalg.next_fast_len(n) for n in range(1, 5000)] == \
-        [scipy.fft.next_fast_len(n, real=True) for n in range(1, 5000)]
 
 
 def test_unitary_expm_matches_scipy_expm():
