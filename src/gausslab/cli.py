@@ -333,7 +333,8 @@ def _int_at_least(low: int):
     """argparse type: an integer no smaller than ``low``, else a usage error.
     Sweeps take --samples >= 1 (no samples must never report a pass),
     --support and --probe-dim >= 1 (a sample occupies at least the vacuum),
-    --threads >= 1, and every --cutoff is >= 2, the smallest Fock space."""
+    --threads >= 1 and --seed >= 0 (NumPy seeds are non-negative), and every
+    --cutoff is >= 2, the smallest Fock space."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
@@ -396,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("majorize", help="vacuum-optimality and majorization sweep")
     add_common(p)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--cutoff", type=_int_at_least(2), default=40)
     p.add_argument("--support", type=_int_at_least(1), default=4,
                    help="sample occupation bound")
@@ -409,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--p", type=order, default=2.0)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--cutoff", type=_int_at_least(2), default=30)
     p.add_argument("--threads", type=_int_at_least(1))
     p.add_argument("--csv")
@@ -424,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--a0", type=reference, default=0.5)
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--grid-radius", type=positive,
                    help="default 6 sqrt(a0 + 1/2), which is 6 at a0 = 1/2")
     p.add_argument("--grid-step", type=positive, default=0.05)

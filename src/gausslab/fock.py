@@ -195,12 +195,16 @@ def vacuum_state(space: FockSpace) -> PureState:
 
 
 def number_state(space: FockSpace, occupation) -> PureState:
+    """|n> on one mode, |n_1, ..., n_M> (one occupation per mode) on M modes;
+    an occupation outside the space raises ParameterOutOfRange."""
+    levels = tuple(int(n) for n in np.atleast_1d(occupation))
+    try:
+        idx = np.ravel_multi_index(levels, (space.cutoff,) * space.modes)
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"occupation {levels} lies outside {space.modes} mode(s) of {space.cutoff} levels"
+        ) from None
     amp = np.zeros(space.dim, dtype=np.complex128)
-    if space.modes == 1:
-        idx = int(occupation)
-    else:
-        n1, n2 = occupation
-        idx = int(n1) * space.cutoff + int(n2)
     amp[idx] = 1.0
     return PureState(space=space, amplitudes=amp)
 
@@ -266,15 +270,10 @@ def random_pure_state(seed, space: FockSpace, support: int | None = None) -> Pur
     rng = np.random.default_rng(seed)
     d = space.cutoff
     s = d if support is None else min(int(support), d)
-    if space.modes == 1:
-        sub = rng.standard_normal(s) + 1j * rng.standard_normal(s)
-        amp = np.zeros(d, dtype=np.complex128)
-        amp[:s] = sub
-    else:
-        sub = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
-        grid = np.zeros((d, d), dtype=np.complex128)
-        grid[:s, :s] = sub
-        amp = grid.ravel()
+    box = (s,) * space.modes
+    grid = np.zeros((d,) * space.modes, dtype=np.complex128)
+    grid[tuple(map(slice, box))] = rng.standard_normal(box) + 1j * rng.standard_normal(box)
+    amp = grid.ravel()
     return PureState(space=space, amplitudes=amp / np.linalg.norm(amp))
 
 

@@ -35,7 +35,11 @@ stage to the state itself, pure or mixed (:func:`gausslab.fock.apply_kraus`).
 application, one evaluation at the rescaled nodes, one smoothing) and the
 sandwich and convolution checks reduce it.  The smoothing is separable: the
 normal density factorizes into its x and y parts, so it is two real matrix
-products with one Toeplitz matrix.
+products with one Toeplitz matrix.  The Wehrl sweep draws and maps its
+inputs through the one seeded sampling pass of the Fock sweeps
+(:func:`gausslab.majorization.sampling_pass`), each sample labelled by the
+seed tuple it is drawn from, and evaluates each chunk of them with one
+:func:`husimi_density` call.
 """
 
 from __future__ import annotations
@@ -58,17 +62,11 @@ from .errors import (
     TailMassTooLarge,
     TruncationLeakage,
 )
-from .majorization import (
-    ConcaveFunctional,
-    OptimalityReport,
-    SampleRow,
-    parallel_map,
-    trace_functional,
-)
+from .majorization import ConcaveFunctional, OptimalityReport, sampling_pass, trace_functional
 
 TAIL_BUDGET = 1e-4
 NODE_CHUNK = 16384  # wedge nodes per coherent-column build, nodes per Poisson table
-WEHRL_GROUP = 8  # states per husimi_values call in the Wehrl sweep
+WEHRL_GROUP = 8  # states per chunk of the Wehrl sweep, one husimi_values call each
 
 
 @dataclass(frozen=True)
@@ -228,31 +226,15 @@ def _polar_values(diagonals: np.ndarray, poisson: np.ndarray, inv: np.ndarray,
 _QUARTER_PHASES = np.array([1.0, -1.0j, -1.0, 1.0j])
 
 
-def _gauge_images(z: np.ndarray) -> np.ndarray:
-    """Flat node indices (images, W): row 0 the wedge, the nodes at which
-    coherent columns are built and whose radii are sorted, every other row
-    a symmetry image of them with the same radii.
-
-    A lattice ``z = x[:, None] + 1j * x[None, :]`` whose axis is symmetric
-    (``x == -x[::-1]``), both checked exactly, folds onto its wedge, the W
-    nodes at axis offsets 0 <= b <= a from the centre; its images are read
-    off its cached :func:`_lattice_plan`.  Any other node array, including
-    one with a non-finite node, is one row of every node in order.
-    """
-    if z.ndim == 2 and z.shape[0] == z.shape[1]:
-        x = z.real[:, 0]
-        if (np.array_equal(x, -x[::-1]) and (z.real == x[:, None]).all()
-                and (z.imag == x[None, :]).all()):
-            return _lattice_plan(x.tobytes()).images
-    return np.arange(z.size)[None, :]
-
-
 @dataclass(frozen=True)
 class _NodePlan:
     """What :func:`husimi_values` derives from its nodes alone, read-only.
 
-    ``images`` are the :func:`_gauge_images`; ``source`` maps each flat node
-    to the flat index, in ``images``, of one image that lands on it.  Each
+    ``images`` are flat node indices (images, W): row 0 the wedge, the
+    nodes at which coherent columns are built and whose radii are sorted,
+    every other row a symmetry image of them with the same radii.  ``source``
+    maps each flat node to the flat index, in ``images``, of one image that
+    lands on it.  Each
     of ``chunks`` is a slice of :data:`NODE_CHUNK` flat nodes, the distinct
     wedge radii its nodes take, ascending, and each node's index among them.
     """
@@ -306,12 +288,20 @@ def _lattice_plan(axis: bytes) -> _NodePlan:
 
 
 def _node_plan(z: np.ndarray) -> _NodePlan:
-    """The cached plan of a lattice; any other node array gets a plan built
-    for this call alone."""
-    images = _gauge_images(z)
-    if len(images) > 1:
-        return _lattice_plan(z.real[:, 0].tobytes())
-    return _NodePlan.build(z.ravel(), images)
+    """The plan of the nodes ``z``.
+
+    A lattice ``z = x[:, None] + 1j * x[None, :]`` whose axis is symmetric
+    (``x == -x[::-1]``), both checked exactly, folds onto its wedge, the W
+    nodes at axis offsets 0 <= b <= a from the centre, and has its cached
+    :func:`_lattice_plan`.  Any other node array, including one with a
+    non-finite node, is its own wedge, with one row of images, and gets a
+    plan built for this call alone."""
+    if z.ndim == 2 and z.shape[0] == z.shape[1]:
+        x = z.real[:, 0]
+        if (np.array_equal(x, -x[::-1]) and (z.real == x[:, None]).all()
+                and (z.imag == x[None, :]).all()):
+            return _lattice_plan(x.tobytes())
+    return _NodePlan.build(z.ravel(), np.arange(z.size)[None, :])
 
 
 def _image_amplitudes(stacked: np.ndarray, images: int) -> np.ndarray:
@@ -337,11 +327,11 @@ def husimi_values(state, ref, z_nodes: np.ndarray) -> np.ndarray:
     ``x == -x[::-1]``, such as ``c * grid.nodes``) is folded onto its wedge
     0 <= y <= x by gauge covariance: a quarter turn z -> i z is the gauge
     rotation e^{i pi N/2} and z -> conj(z) is conjugation, so every node is
-    one of the 8 images i^q w, conj(i^q w) of a wedge node w
-    (:func:`_gauge_images`).  What the evaluation derives from a lattice
-    alone is its cached :func:`_lattice_plan`.  Any other node array is its
-    own wedge, with one image, and its plan is built for the call and not
-    kept.
+    one of the 8 images i^q w, conj(i^q w) of a wedge node w.  What the
+    evaluation derives from a lattice alone, its images among them, is its
+    cached :func:`_lattice_plan` (:func:`_node_plan`).  Any other node array
+    is its own wedge, with one image, and its plan is built for the call and
+    not kept.
 
     - Pure states are evaluated on coherent columns.  Per chunk of
       :data:`NODE_CHUNK` wedge nodes the columns <m|D(w)|0>, cropped to the
@@ -610,34 +600,30 @@ def wehrl_optimality_test(a0: float, n_samples: int, seed: int,
 
     Evaluates int f(p_rho) for Fock probes and Haar samples (bounded
     occupation) against the vacuum-input value, which equals the value of
-    every coherent input by translation invariance.  The inputs (indices 0-2
-    the vacuum, fock(1), fock(2), then the samples) are evaluated in groups
-    of :data:`WEHRL_GROUP` states, one :func:`husimi_density` call per group,
-    at cutoff max(2 probe_dim, 32).  An input over the tail budget raises
-    TailMassTooLarge; nothing is redrawn.
+    every coherent input by translation invariance.  The inputs go through
+    the one :func:`gausslab.majorization.sampling_pass`: the vacuum, fock(1)
+    and fock(2) fixed, then the samples ``haar[seed,index]``, each drawn from
+    its label's seed tuple on ``probe_dim`` levels, at cutoff
+    max(2 probe_dim, 32), in chunks of :data:`WEHRL_GROUP` states, one
+    :func:`husimi_density` call per chunk.  A pure state on its own space
+    loses nothing to the Fock cutoff, so nothing is redrawn, and an input
+    over the tail budget raises TailMassTooLarge.
     """
     space = fock.FockSpace(1, max(2 * probe_dim, 32))
 
-    def evaluate(indices) -> list[tuple[float, float]]:
-        group = [fock.number_state(space, index) if index < 3 else fock.random_pure_state(
-            [int(seed), index - 3], space, support=probe_dim) for index in indices]
-        return [(classical_functional(field, f), field.tail_mass)
-                for field in husimi_density(group, a0, grid)]
+    def evaluate(states) -> tuple[list[tuple[float, float]], np.ndarray]:
+        results = [(classical_functional(field, f), field.tail_mass)
+                   for field in husimi_density(states, a0, grid)]
+        return results, np.zeros(len(results))
 
-    total = 3 + n_samples
-    groups = [range(start, min(start + WEHRL_GROUP, total))
-              for start in range(0, total, WEHRL_GROUP)]
-    (vacuum_value, _), *results = [r for chunk in parallel_map(evaluate, groups, threads)
-                                   for r in chunk]
-    labels = ([(f"fock({n})", "probe") for n in (1, 2)]
-              + [(f"haar[{seed},{idx}]", str(seed)) for idx in range(n_samples)])
-    rows = tuple(SampleRow(seed=seed_tag, label=label, functional=f.label, value=value,
-                           gap=value - vacuum_value, leakage=tail)
-                 for (label, seed_tag), (value, tail) in zip(labels, results))
-    best = min(rows, key=lambda row: row.value)
-    return OptimalityReport(vacuum_value=vacuum_value, best_sampled_value=best.value,
-                            best_input_descriptor=best.label, gap=best.gap,
-                            samples=n_samples, seed=seed, functional=f.label, rows=rows)
+    fixed = [fock.vacuum_state(space)] + [fock.number_state(space, n) for n in (1, 2)]
+    results, _, labels, rejected = sampling_pass(evaluate, fixed, "haar", seed, n_samples,
+                                                 space, probe_dim, threads, WEHRL_GROUP)
+    (vacuum_value, _), *rows = results.tolist()
+    values, tails = zip(*rows)
+    inputs = [("probe", f"fock({n})") for n in (1, 2)] + [(str(seed), tag) for tag in labels]
+    return OptimalityReport.from_values(vacuum_value, values, tails, inputs, seed, f.label,
+                                        rejected)
 
 
 def field_to_csv(field: HusimiField, path) -> None:

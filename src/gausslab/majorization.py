@@ -7,17 +7,22 @@ produce strictly positive gaps, and that output purities multiply across
 tensor products.  These are statistical verifications at finite cutoff,
 not proofs.
 
-One sampling pass serves both halves of the majorization claim:
-:func:`majorization_sweep` maps the vacuum, the probes and the seeded
-samples to output spectra once, as one batch: one Fock stage kernel call
-(:meth:`gausslab.fock.FockChannel.apply` on the sequence of inputs), one
-stacked :func:`gausslab.fock.spectrum` and one vectorized deficit, with
-the samples past the leakage budget redrawn as one batch per retry round.
+One seeded sampling pass, :func:`sampling_pass`, serves every sweep: it
+cuts the fixed inputs and the seeded samples into contiguous chunks, maps
+them on a thread pool, evaluates each chunk as one batch and redraws the
+samples past the leakage budget as one batch per retry round.  Each sample
+is labelled by the seed tuple it was drawn from, ``haar[seed,index]`` or,
+once redrawn, ``haar[seed,index,retry]``, so every label redraws its state
+through :func:`gausslab.fock.random_pure_state`.  :func:`majorization_sweep`
+maps the vacuum, the probes and the samples to output spectra through it,
+with one Fock stage kernel call (:meth:`gausslab.fock.FockChannel.apply` on
+the sequence of inputs) and one stacked :func:`gausslab.fock.spectrum` per
+chunk, and reduces them to one vectorized deficit;
 :func:`optimality_reports` reduces those same spectra by concave
-functionals.  Threads map contiguous chunks of the batch.  Every channel
-application goes through the stage kernel, the two-mode
-:func:`additivity_test` included, which evaluates its states one by one
-inside the same retry loop.
+functionals.  The two-mode :func:`additivity_test` evaluates its states one
+per chunk, and the Wehrl sweep (:func:`gausslab.husimi.wehrl_optimality_test`)
+goes through the same pass.  Every optimality report, Fock or phase-space,
+is built by :meth:`OptimalityReport.from_values`.
 """
 
 from __future__ import annotations
@@ -149,20 +154,14 @@ def partial_sum_deficit(a, b):
 
 def default_pure_probes(space: fock.FockSpace) -> list[tuple[str, fock.PureState]]:
     """Deterministic one-mode probes: two Fock states and two balanced
-    superpositions."""
-    d = space.cutoff
-    probes = [
-        ("fock(1)", fock.number_state(space, 1)),
-        ("fock(2)", fock.number_state(space, 2)),
+    superpositions, each built from checked number states."""
+    n0, n1, n2 = (fock.number_state(space, n).amplitudes for n in (0, 1, 2))
+    return [
+        ("fock(1)", fock.pure_state(space, n1)),
+        ("fock(2)", fock.pure_state(space, n2)),
+        ("(|0>+|1>)/sqrt2", fock.pure_state(space, (n0 + n1) / np.sqrt(2))),
+        ("(|1>+i|2>)/sqrt2", fock.pure_state(space, (n1 + 1j * n2) / np.sqrt(2))),
     ]
-    amp = np.zeros(d, dtype=np.complex128)
-    amp[0] = amp[1] = 1 / np.sqrt(2)
-    probes.append(("(|0>+|1>)/sqrt2", fock.pure_state(space, amp)))
-    amp = np.zeros(d, dtype=np.complex128)
-    amp[1] = 1 / np.sqrt(2)
-    amp[2] = 1j / np.sqrt(2)
-    probes.append(("(|1>+i|2>)/sqrt2", fock.pure_state(space, amp)))
-    return probes
 
 
 @dataclass(frozen=True)
@@ -186,6 +185,24 @@ class OptimalityReport:
     functional: str
     rejected: int = 0
     rows: tuple[SampleRow, ...] = field(default=(), repr=False)
+
+    @classmethod
+    def from_values(cls, vacuum_value: float, values, leakages, inputs, seed: int,
+                    functional: str, rejected: int) -> OptimalityReport:
+        """The report of the input ``values`` of ``functional`` against
+        ``vacuum_value``: one row per input, with its ``leakages`` entry and
+        the (seed tag, label) of ``inputs``, the lowest value, the first
+        input attaining it and their gap.  The samples are the inputs not
+        tagged "probe"."""
+        rows = tuple(SampleRow(seed=tag, label=label, functional=functional, value=v,
+                               gap=v - vacuum_value, leakage=lk)
+                     for (tag, label), v, lk in zip(inputs, values, leakages))
+        best_value, best_input = min(((r.value, r.label) for r in rows),
+                                     key=lambda vt: vt[0], default=(np.inf, ""))
+        return cls(vacuum_value=vacuum_value, best_sampled_value=best_value,
+                   best_input_descriptor=best_input, gap=best_value - vacuum_value,
+                   samples=sum(r.seed != "probe" for r in rows), seed=seed,
+                   functional=functional, rejected=rejected, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -234,72 +251,68 @@ class AdditivityReport:
     rows: tuple[SampleRow, ...] = field(default=(), repr=False)
 
 
-def parallel_map(fn, items, threads: int):
-    """Ordered map, optionally on a thread pool (BLAS releases the GIL).
-    Per-item seeds are counter-derived, so results do not depend on the
-    execution order or thread count."""
-    if threads <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # A chunk of a majorize batch holds at most BATCH_ENTRIES / dim^2 inputs (40
 # at d = 40, one two-mode input at d = 20), so its stacked output blocks hold
 # at most 1 MB.  Chunk boundaries do not depend on the thread count.
 BATCH_ENTRIES = 1 << 16
 
 
-def _seeded_draw(evaluate, seed: int, fixed, indices, space: fock.FockSpace, support: int):
-    """Evaluate the inputs ``fixed`` and the samples ``indices`` of ``seed``
-    as one batch, ``evaluate(states) -> (results, leakages)`` with one entry
-    per state.  Sample ``index`` at retry r is drawn from the seed triple
-    (seed, index, r); the samples that leak more than
-    :data:`LEAKAGE_BUDGET` are redrawn at the next retry, all of them as one
-    batch per round, up to retry 7.  Returns (results, leakages, retries)
-    over ``fixed`` (never redrawn, retry 0) then the samples."""
-    def draw(retry: int, idxs) -> list[fock.PureState]:
-        return [fock.random_pure_state([int(seed), int(i), retry], space, support=support)
-                for i in idxs]
+def sampling_pass(evaluate, fixed, name: str, seed: int, n_samples: int,
+                  space: fock.FockSpace, support: int, threads: int, chunk: int):
+    """The one seeded sampling pass of every sweep.
 
-    def over_budget(positions, leaks) -> list[int]:
-        return [p for p, lk in zip(positions, np.asarray(leaks).tolist())
-                if not lk <= LEAKAGE_BUDGET]
+    ``evaluate(states) -> (results, leakages)`` maps a batch of states to
+    one result and one Fock leakage each.  The inputs ``fixed``, then the
+    samples 0 .. n_samples - 1 of ``seed``, Haar states on ``support`` levels
+    per mode of ``space``, are cut into contiguous chunks of ``chunk``
+    inputs, which ``threads`` map; each chunk is one ``evaluate`` call, the
+    same on any thread count.  Sample ``index`` is drawn from the seed tuple
+    (seed, index), and the samples of a chunk that leak more than
+    :data:`LEAKAGE_BUDGET` are redrawn from (seed, index, retry) as one batch
+    per retry round, up to retry 7.
 
+    Returns (results, leakages) over ``fixed`` then the samples, in order,
+    the labels of the samples and the number of redraws.  Each label is
+    ``name`` and the seed tuple of its sample's last draw,
+    ``name[seed,index]`` or ``name[seed,index,retry]``.
+    """
     first = len(fixed)
-    results, leakages = (np.array(x) for x in evaluate(list(fixed) + draw(0, indices)))
-    retries = np.zeros(len(leakages), dtype=int)
-    pending = over_budget(range(first, len(leakages)), leakages[first:])
-    for retry in range(1, 8):
-        if not pending:
-            break
-        redrawn, leaks = evaluate(draw(retry, [indices[p - first] for p in pending]))
-        results[pending], leakages[pending], retries[pending] = redrawn, leaks, retry
-        pending = over_budget(pending, leaks)
-    if pending:
-        raise TruncationLeakage(
-            f"sample ({seed}, {indices[pending[0] - first]}) exceeded leakage budget "
-            f"{LEAKAGE_BUDGET:.1e} after 8 retries"
-        )
-    return results, leakages, retries
 
-
-def _sampling_pass(evaluate, fixed, seed: int, n_samples: int, space: fock.FockSpace,
-                   support: int, threads: int, chunk: int):
-    """:func:`_seeded_draw` over the inputs ``fixed`` then samples
-    0 .. n_samples - 1, cut into contiguous chunks of ``chunk`` inputs, which
-    ``threads`` map.  Every chunk is evaluated the same way on any thread
-    count, and the results are concatenated in order."""
-    total, first = len(fixed) + n_samples, len(fixed)
+    def draw(seeds) -> list[fock.PureState]:
+        return [fock.random_pure_state(t, space, support=support) for t in seeds]
 
     def run(start: int):
-        stop = min(start + chunk, total)
-        return _seeded_draw(evaluate, seed, fixed[start:min(stop, first)],
-                            range(max(start, first) - first, stop - first), space, support)
+        stop = min(start + chunk, first + n_samples)
+        head = list(fixed[start:stop])
+        seeds = [()] * len(head) + [(int(seed), i - first) for i in range(max(start, first), stop)]
+        results, leakages = (np.array(x) for x in evaluate(head + draw(seeds[len(head):])))
+        pending = [j for j in range(len(head), len(seeds)) if not leakages[j] <= LEAKAGE_BUDGET]
+        for retry in range(1, 8):
+            if not pending:
+                break
+            for j in pending:
+                seeds[j] = seeds[j][:2] + (retry,)
+            results[pending], leakages[pending] = evaluate(draw(seeds[j] for j in pending))
+            pending = [j for j in pending if not leakages[j] <= LEAKAGE_BUDGET]
+        if pending:
+            raise TruncationLeakage(
+                f"sample ({seed}, {seeds[pending[0]][1]}) exceeded leakage budget "
+                f"{LEAKAGE_BUDGET:.1e} after 8 retries"
+            )
+        return results, leakages, seeds
 
-    parts = parallel_map(run, range(0, total, chunk), threads)
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    starts = range(0, first + n_samples, chunk)
+    if threads <= 1:
+        parts = list(map(run, starts))
+    else:  # BLAS releases the GIL
+        from concurrent import futures
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(run, starts))
+    seeds = [t for _, _, chunk_seeds in parts for t in chunk_seeds][first:]
+    return (np.concatenate([part[0] for part in parts]),
+            np.concatenate([part[1] for part in parts]),
+            [f"{name}[{','.join(map(str, t))}]" for t in seeds],
+            sum(t[2] for t in seeds if len(t) > 2))
 
 
 def _output_spectra(realized: fock.FockChannel, states):
@@ -326,22 +339,14 @@ def optimality_reports(sweep: SweepReport, fs) -> list[OptimalityReport]:
     """Reduce the output spectra of one sweep by each functional in ``fs``:
     the vacuum value, the lowest input value (the first input attaining it
     names the report) and their gap."""
-    samples = sum(row.seed != "probe" for row in sweep.rows)
     stacked = np.vstack((sweep.vacuum_spectrum, sweep.spectra))
+    inputs = [(row.seed, row.label) for row in sweep.rows]
+    leakages = [row.leakage for row in sweep.rows]
     reports = []
     for f in fs:
-        label = f.label
         vacuum_value, *values = trace_functional(stacked, f).tolist()
-        rows = [SampleRow(seed=row.seed, label=row.label, functional=label,
-                          value=v, gap=v - vacuum_value, leakage=row.leakage)
-                for row, v in zip(sweep.rows, values)]
-        best_value, best_input = min(((r.value, r.label) for r in rows),
-                                     key=lambda vt: vt[0], default=(np.inf, ""))
-        reports.append(OptimalityReport(
-            vacuum_value=vacuum_value, best_sampled_value=best_value,
-            best_input_descriptor=best_input, gap=best_value - vacuum_value,
-            samples=samples, seed=sweep.seed, functional=label,
-            rejected=sweep.rejected, rows=tuple(rows)))
+        reports.append(OptimalityReport.from_values(vacuum_value, values, leakages, inputs,
+                                                    sweep.seed, f.label, sweep.rejected))
     return reports
 
 
@@ -350,11 +355,11 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
                        threads: int = 1) -> SweepReport:
     """Check that the vacuum-output spectrum majorizes every sampled output.
 
-    The one sampling pass: the vacuum, the one-mode probes and
-    ``n_samples`` seeded samples go through the channel as one batch, with
-    one kernel call and one stacked spectrum, and the samples that leak
-    past the budget are redrawn as one batch per retry round; ``threads``
-    map contiguous chunks of the batch.  The output spectra are kept on the
+    The vacuum, the one-mode probes and ``n_samples`` seeded samples
+    ``haar[seed,index]`` go through :func:`sampling_pass`, one kernel call
+    and one stacked spectrum per chunk of at most
+    ``BATCH_ENTRIES / dim^2`` inputs, and the samples that leak past the
+    budget are redrawn as ``haar[seed,index,retry]``.  The output spectra are kept on the
     report for :func:`optimality_reports`.  Leakage mass is left as a zero
     tail (never renormalized), which only lowers the sampled partial sums.
     The worst input is the first to reach the largest deficit, and none
@@ -364,12 +369,10 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
     realized = fock.realize_channel(ch, space)
     probes = default_pure_probes(space) if ch.modes == 1 else []
     fixed = [fock.vacuum_state(space)] + [probe for _, probe in probes]
-    spectra, leakages, retries = _sampling_pass(
-        functools.partial(_output_spectra, realized), fixed, seed, n_samples, space,
+    spectra, leakages, samples, rejected = sampling_pass(
+        functools.partial(_output_spectra, realized), fixed, "haar", seed, n_samples, space,
         sample_support, threads, max(1, BATCH_ENTRIES // space.dim ** 2))
-    labels = [("probe", tag) for tag, _ in probes] + [
-        (str(seed), f"haar[{seed},{idx}]" if retry == 0 else f"haar[{seed},{idx},{retry}]")
-        for idx, retry in enumerate(retries[len(fixed):].tolist())]
+    labels = [("probe", tag) for tag, _ in probes] + [(str(seed), tag) for tag in samples]
     deficits = partial_sum_deficit(spectra[0], spectra[1:]).tolist()
     rows = [SampleRow(seed=seed_tag, label=tag, functional="partial-sums",
                       value=deficit, gap=deficit, leakage=lk)
@@ -380,7 +383,7 @@ def majorization_sweep(ch: GaugeCovariantChannel, n_samples: int, seed: int,
         worst_input = ""
     return SweepReport(passes=sum(r.value <= MAJORIZATION_TOL for r in rows), total=len(rows),
                        worst_deficit=worst_deficit, worst_input=worst_input, seed=seed,
-                       rejected=int(retries.sum()), rows=tuple(rows),
+                       rejected=rejected, rows=tuple(rows),
                        vacuum_spectrum=spectra[0], spectra=spectra[1:])
 
 
@@ -440,8 +443,9 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
                     threads: int = 1) -> AdditivityReport:
     """Fock check of nu_p(a (x) b) = nu_p(a) nu_p(b) on entangled inputs.
 
-    Samples Haar two-mode pure states occupying at most 3 levels per mode,
-    redrawn past :data:`LEAKAGE_BUDGET`, applies
+    Samples Haar two-mode pure states ``haar2[seed,index]`` occupying at
+    most 3 levels per mode through :func:`sampling_pass`, one per chunk,
+    redrawn past :data:`LEAKAGE_BUDGET` as ``haar2[seed,index,retry]``, applies
     a (x) b stage by stage, per mode, computes Tr out^p with
     :func:`gausslab.fock.trace_power` and compares it to the closed-form
     bound; vacuum (x) vacuum must attain it.
@@ -457,17 +461,16 @@ def additivity_test(a: GaugeCovariantChannel, b: GaugeCovariantChannel, p: float
         outs = [realized.apply(psi) for psi in states]
         return [fock.trace_power(out, p) for out in outs], [fock.leakage(out) for out in outs]
 
-    values, leakages, retries = _sampling_pass(purity_of, [fock.vacuum_state(space)], seed,
-                                               n_samples, space, 3, threads, 1)
-    rows = tuple(SampleRow(seed=str(seed), label=f"haar2[{seed},{idx}]",
-                           functional=f"purity(p={p:g})", value=value, gap=value - bound,
-                           leakage=lk)
-                 for idx, (value, lk) in enumerate(zip(values[1:].tolist(),
-                                                       leakages[1:].tolist())))
+    values, leakages, labels, rejected = sampling_pass(
+        purity_of, [fock.vacuum_state(space)], "haar2", seed, n_samples, space, 3, threads, 1)
+    rows = tuple(SampleRow(seed=str(seed), label=label, functional=f"purity(p={p:g})",
+                           value=value, gap=value - bound, leakage=lk)
+                 for label, value, lk in zip(labels, values[1:].tolist(),
+                                             leakages[1:].tolist()))
     return AdditivityReport(bound=bound, vacuum_value=float(values[0]),
                             max_sample_value=max((r.value for r in rows), default=-np.inf),
                             samples=n_samples, seed=seed, order=p,
-                            rejected=int(retries.sum()), rows=rows)
+                            rejected=rejected, rows=rows)
 
 
 # ---------------------------------------------------------------------------

@@ -396,6 +396,15 @@ class TestSweepCommands:
         assert applies[1:] == [sum(r >= k for r in retries) for k in range(1, max(retries) + 1)]
         assert sum(applies[1:]) == report["leakage"]["rejected"]
 
+    def test_majorize_probe_outside_the_smallest_space_exits_two(self, tmp_path, capsys,
+                                                                  files):
+        # the fock(2) probe does not fit two levels: a library error, not a crash
+        code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "1",
+                                              "--seed", "1", "--cutoff", "2"])
+        assert code == 2 and report is None
+        assert ("ParameterOutOfRange: occupation (2,) lies outside 1 mode(s) of 2 levels"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_majorize_exits_two_when_a_sample_exhausts_its_retries(self, tmp_path, capsys,
                                                                    files, threads):
@@ -473,7 +482,7 @@ class TestSweepCommands:
         assert (len(values_calls), column_nodes) == (1, [wedge])
 
     def test_wehrl_results_do_not_depend_on_threads(self, tmp_path):
-        # 3 + 9 inputs are two groups, evaluated concurrently on two threads
+        # 3 + 9 inputs are two chunks, evaluated concurrently on two threads
         reports = [run_to_file(tmp_path, ["wehrl", "--a0", "0.5", "--samples", "9",
                                           "--seed", "4", "--grid-step", "0.1",
                                           "--threads", threads])
@@ -657,6 +666,18 @@ class TestArgumentBounds:
         }[command]
         code, report = run_to_file(tmp_path, argv + ["--samples", "1", "--seed", "1",
                                                      "--threads", value])
+        assert (code, report) == (1, None)
+
+    @pytest.mark.parametrize("value", ["-1", "-7", "1.5"])
+    @pytest.mark.parametrize("command", ["majorize", "additivity", "wehrl"])
+    def test_seed(self, tmp_path, files, command, value):
+        # NumPy takes non-negative seeds only
+        argv = {
+            "majorize": ["majorize", files["att07"]],
+            "additivity": ["additivity", files["amp_sqrt2"], files["amp_sqrt2"]],
+            "wehrl": ["wehrl"],
+        }[command]
+        code, report = run_to_file(tmp_path, argv + ["--samples", "1", "--seed", value])
         assert (code, report) == (1, None)
 
     @pytest.mark.parametrize("value", ["nan", "0", "-1", "inf"])

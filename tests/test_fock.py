@@ -967,7 +967,52 @@ class TestDiagonalForm:
         assert np.array_equal(op.matrix, padded)
 
 
+class TestNumberStates:
+    @pytest.mark.parametrize("modes,occupation,index", [
+        (1, 0, 0), (1, 4, 4), (1, np.int64(3), 3), (2, (0, 0), 0), (2, (1, 2), 7),
+        (2, (4, 4), 24), (2, [3, 0], 15),
+    ])
+    def test_one_amplitude_at_the_row_major_index(self, modes, occupation, index):
+        psi = fock.number_state(fock.FockSpace(modes, 5), occupation)
+        expected = np.zeros(5 ** modes, dtype=complex)
+        expected[index] = 1.0
+        assert np.array_equal(psi.amplitudes, expected)
+
+    @pytest.mark.parametrize("modes,occupation", [
+        (1, -1), (1, 5), (2, (0, 7)), (2, (5, 0)), (2, (-1, 2)), (2, 3), (1, (1, 1)),
+    ])
+    def test_occupation_outside_the_space_raises(self, modes, occupation):
+        with pytest.raises(ParameterOutOfRange):
+            fock.number_state(fock.FockSpace(modes, 5), occupation)
+
+
 class TestRandomStates:
+    @pytest.mark.parametrize("modes,support", [(1, None), (1, 4), (2, None), (2, 3), (2, 9)])
+    @pytest.mark.parametrize("seed", [0, 5, [3, 1], [3, 1, 2]])
+    def test_draws_the_box_of_standard_normals(self, modes, support, seed):
+        # amplitudes 0 .. s - 1 per mode, real parts then imaginary parts,
+        # each drawn as one (s,) * modes array in C order
+        d = 6
+        s = d if support is None else min(support, d)
+        rng = np.random.default_rng(seed)
+        sub = rng.standard_normal((s,) * modes) + 1j * rng.standard_normal((s,) * modes)
+        grid = np.zeros((d,) * modes, dtype=complex)
+        grid[(slice(s),) * modes] = sub
+        psi = fock.random_pure_state(seed, fock.FockSpace(modes, d), support=support)
+        assert np.array_equal(psi.amplitudes, grid.ravel() / np.linalg.norm(grid))
+
+    def test_a_trailing_zero_in_a_short_seed_tuple_is_the_same_draw(self, space40):
+        # SeedSequence pads its entropy with zero words up to four, so the
+        # seed tuples (seed, index) and (seed, index, 0) draw one state for
+        # every seed below 2^64, and apart from it past that
+        for seed in (0, 7, 2 ** 32 + 5, 2 ** 64 - 1):
+            a, b = (fock.random_pure_state(t, space40, support=4)
+                    for t in ([seed, 3], [seed, 3, 0]))
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        a, b = (fock.random_pure_state(t, space40, support=4)
+                for t in ([2 ** 64, 3], [2 ** 64, 3, 0]))
+        assert not np.array_equal(a.amplitudes, b.amplitudes)
+
     def test_deterministic_per_seed(self, space40):
         a = fock.random_pure_state(99, space40)
         b = fock.random_pure_state(99, space40)

@@ -196,8 +196,9 @@ class TestGaugeWedge:
     @pytest.mark.parametrize("c", [1.0, 1.5, 2.0, 3.0])
     def test_lattice_matches_flat_nodes(self, monkeypatch, batches, kind, a0, c):
         nodes = c * hu.make_grid(6.0, 0.1).nodes
-        folds, fold = [], hu._gauge_images
-        monkeypatch.setattr(hu, "_gauge_images", lambda z: folds.append(fold(z).shape) or fold(z))
+        folds, plan_of = [], hu._node_plan
+        monkeypatch.setattr(hu, "_node_plan",
+                            lambda z: folds.append(plan_of(z).images.shape) or plan_of(z))
         got = hu.husimi_values(batches[kind], a0, nodes)
         assert folds == [(8, 61 * 62 // 2)]  # also at z / kappa for a0 > 1/2
         flat = hu.husimi_values(batches[kind], a0, nodes.ravel())
@@ -207,7 +208,7 @@ class TestGaugeWedge:
     @pytest.mark.parametrize("kind", ["pure", "operators", "mixed"])
     def test_wedge_over_several_chunks(self, batches, kind):
         nodes = hu.make_grid(6.0, 0.02).nodes
-        wedge = hu._gauge_images(nodes).shape[1]
+        wedge = hu._node_plan(nodes).images.shape[1]
         assert wedge == 301 * 302 // 2 == 45451
         assert -(-wedge // hu.NODE_CHUNK) == 3
         got = hu.husimi_values(batches[kind], 0.5, nodes)
@@ -223,7 +224,7 @@ class TestGaugeWedge:
         np.zeros((1, 1), dtype=np.complex128),
     ], ids=["grid", "1.5grid", "thermal", "fine", "even-axis", "single"])
     def test_images_cover_every_node_exactly(self, nodes):
-        images = hu._gauge_images(nodes)
+        images = hu._node_plan(nodes).images
         n = nodes.shape[0]
         half = n - n // 2
         assert images.shape == (8, half * (half + 1) // 2)
@@ -251,7 +252,7 @@ class TestGaugeWedge:
         }[case]()
         if case == "ulp":
             nodes[7, 40] = np.nextafter(nodes[7, 40].real, 1.0) + 1j * nodes[7, 40].imag
-        images = hu._gauge_images(nodes)
+        images = hu._node_plan(nodes).images
         assert np.array_equal(images, np.arange(nodes.size)[None, :])
         built = []
         columns = hu._coherent_columns
@@ -266,7 +267,7 @@ class TestGaugeWedge:
     def test_nan_node_raises(self, batches, lattice, kind):
         nodes = lattice.nodes.copy()
         nodes[3, 3] = np.nan
-        assert hu._gauge_images(nodes).shape[0] == 1
+        assert hu._node_plan(nodes).images.shape[0] == 1
         with pytest.raises(InvalidState):
             hu.husimi_values(batches[kind], 0.5, nodes)
 
@@ -295,7 +296,7 @@ class TestCaches:
     def test_cached_arrays_are_read_only(self, space, step):
         grid = hu.make_grid(6.0, step)
         plan = hu._lattice_plan(grid.axis.tobytes())
-        assert hu._gauge_images(grid.nodes) is plan.images
+        assert hu._node_plan(grid.nodes) is plan
         assert len(plan.chunks) == -(-grid.nodes.size // hu.NODE_CHUNK)
         arrays = [grid.axis, grid.mask, grid.nodes, plan.images, plan.source]
         arrays += [a for _, radii, inv in plan.chunks for a in (radii, inv)]
@@ -690,7 +691,7 @@ class TestWehrlOptimality:
 
     @pytest.mark.parametrize("a0,probe_dim", [(0.5, 16), (1.0, 8)])
     def test_rows_match_per_state_densities(self, a0, probe_dim):
-        # 3 + 7 inputs span two groups of the sweep; each row is the input's
+        # 3 + 7 inputs span two chunks of the sweep; each row is the input's
         # own density reduced, with the samples drawn from the seeds (21, idx)
         assert 3 + 7 > hu.WEHRL_GROUP
         grid = hu.make_grid(6.0, 0.2)

@@ -7,6 +7,7 @@ from conftest import annihilation, dense_ops
 from hypothesis import strategies as st
 
 from gausslab import fock
+from gausslab import husimi as hu
 from gausslab import majorization as mj
 from gausslab.channels import (
     GaugeCovariantChannel,
@@ -22,7 +23,7 @@ from gausslab.majorization import (
     partial_sum_deficit,
     trace_functional,
 )
-from gausslab.states import output_purity
+from gausslab.states import output_purity, tensor_channel
 
 
 def majorizes(a, b, tol: float = MAJORIZATION_TOL) -> bool:
@@ -203,7 +204,6 @@ class TestVacuumOptimality:
         assert rep.gap == rep.best_sampled_value - rep.vacuum_value
 
     def test_two_mode_tensor_channel(self, att06):
-        from gausslab.states import tensor_channel
         ch = tensor_channel(att06, amplifier_channel(1.2))
         sweep = mj.majorization_sweep(ch, n_samples=15, seed=19, cutoff=24,
                                       sample_support=3)
@@ -492,6 +492,58 @@ class TestAdditivity:
         with pytest.raises(ConditionNotMet):
             mj.additivity_test(two_mode, identity_channel(1), 2.0,
                                n_samples=1, seed=1, cutoff=8)
+
+
+class TestSampleLabels:
+    """Each sample row's label is the seed tuple of its state: the state that
+    random_pure_state draws from the tuple, evaluated on its own, gives the
+    row's value, also where the sweep redrew it."""
+
+    @staticmethod
+    def seed_tuples(rows, name):
+        tuples = [tuple(int(v) for v in row.label[len(name) + 1:-1].split(","))
+                  for row in rows if row.seed != "probe"]
+        assert all(row.label == f"{name}[{','.join(map(str, t))}]"
+                   for row, t in zip((r for r in rows if r.seed != "probe"), tuples))
+        return tuples
+
+    def test_majorize(self):
+        ch, cutoff, support = amplifier_channel(1.5), 35, 4
+        rep = mj.majorization_sweep(ch, 6, 1, cutoff=cutoff, sample_support=support)
+        tuples = self.seed_tuples(rep.rows, "haar")
+        assert [t[:2] for t in tuples] == [(1, idx) for idx in range(6)]
+        assert sum(t[2] for t in tuples if len(t) > 2) == rep.rejected > 0
+        space = fock.FockSpace(1, cutoff)
+        realized = fock.realize_channel(ch, space)
+        for row, t in zip(rep.rows[4:], tuples):
+            psi = fock.random_pure_state(t, space, support=support)
+            out = fock.spectrum(realized.apply(psi))
+            assert row.value == pytest.approx(partial_sum_deficit(rep.vacuum_spectrum, out),
+                                              abs=1e-14)
+
+    def test_additivity(self):
+        amp, p, cutoff = amplifier_channel(np.sqrt(2)), 2.0, 28
+        rep = mj.additivity_test(amp, amp, p, n_samples=12, seed=1, cutoff=cutoff)
+        tuples = self.seed_tuples(rep.rows, "haar2")
+        assert [t[:2] for t in tuples] == [(1, idx) for idx in range(12)]
+        assert sum(t[2] for t in tuples if len(t) > 2) == rep.rejected > 0
+        space = fock.FockSpace(2, cutoff)
+        realized = fock.realize_channel(tensor_channel(amp, amp), space)
+        for row, t in zip(rep.rows, tuples):
+            out = realized.apply(fock.random_pure_state(t, space, support=3))
+            assert row.value == fock.trace_power(out, p)
+            assert row.leakage == fock.leakage(out)
+
+    def test_wehrl(self):
+        f = mj.von_neumann_functional()
+        grid = hu.make_grid(6.0, 0.2)
+        rep = hu.wehrl_optimality_test(0.5, 9, 4, grid, f, probe_dim=8)
+        tuples = self.seed_tuples(rep.rows, "haar")
+        assert tuples == [(4, idx) for idx in range(9)]  # nothing is redrawn
+        space = fock.FockSpace(1, 32)
+        for row, t in zip(rep.rows[2:], tuples):
+            field = hu.husimi_density(fock.random_pure_state(t, space, support=8), 0.5, grid)
+            assert row.value == pytest.approx(hu.classical_functional(field, f), abs=1e-14)
 
 
 class TestSerialization:
