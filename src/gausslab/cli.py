@@ -188,8 +188,24 @@ def _cmd_purity(args) -> dict:
     return _report(args, results, {})
 
 
+# The smallest --cutoff of a one-mode sweep with fixed probes, and why.
+_ONE_MODE_MIN_CUTOFF = {
+    "majorize": (3, "its fock(2) probe needs three levels"),
+    "strictgap": (9, "its coherent(0.7) probe keeps its norm within 1e-8 from nine levels"),
+}
+
+
+def _one_mode_cutoff(args, ch) -> None:
+    """A --cutoff too small for a one-mode sweep's probes is a usage error."""
+    low, why = _ONE_MODE_MIN_CUTOFF[args.command]
+    if ch.modes == 1 and args.cutoff < low:
+        raise UsageError(f"{args.command} needs --cutoff >= {low} for a one-mode channel "
+                         f"({why}); got {args.cutoff}")
+
+
 def _cmd_majorize(args) -> dict:
     ch = load_channel(args.channel)
+    _one_mode_cutoff(args, ch)
     sweep = mj.majorization_sweep(ch, n_samples=args.samples, seed=args.seed,
                                   cutoff=args.cutoff, sample_support=args.support,
                                   threads=args.threads)
@@ -234,6 +250,7 @@ def _cmd_additivity(args) -> dict:
 
 def _cmd_strictgap(args) -> dict:
     ch = load_channel(args.channel)
+    _one_mode_cutoff(args, ch)
     f = _functional(args.f, args.p)
     rep = mj.strict_gap_probe(ch, f, cutoff=args.cutoff)
     tolerances = {"strict_gap": 1e-4, "coherent": 1e-6}
@@ -334,7 +351,8 @@ def _int_at_least(low: int):
     Sweeps take --samples >= 1 (no samples must never report a pass),
     --support and --probe-dim >= 1 (a sample occupies at least the vacuum),
     --threads >= 1 and --seed >= 0 (NumPy seeds are non-negative), and every
-    --cutoff is >= 2, the smallest Fock space."""
+    --cutoff is >= 2, the smallest Fock space (a one-mode majorize or
+    strictgap needs more, checked once its channel is read)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:

@@ -35,8 +35,9 @@ Y to the output's Y: a mode's stages act on its axes (k_j, x_j) as one real
 batched product, with the other modes' axes as columns, and the width is
 kept; the amplifier fills the box to the cutoff, the attenuator keeps it.
 Consumers read Y: the leakage sums its k = 0 diagonal, trace powers are sums
-over it and its banded square, and spectra eigensolve the dense block of the
-box alone and pad it with zeros.  The dense matrix is derived on demand.  An
+over it and its banded square, and spectra check and symmetrize it on the
+diagonals, then eigensolve the dense block of the box alone and pad it with
+zeros.  The dense matrix is derived on demand.  An
 operator built from a dense matrix outside the kernel (thermal states,
 probes, tests) is read into that form by one scan of its nonzero mask.
 A batch of pure states goes through the kernel as one stack: their
@@ -51,6 +52,7 @@ renormalize silently; callers enforce their own leakage budgets.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -322,18 +324,13 @@ def _gather(block: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
 
 
 def _box_block(y: np.ndarray, boxes: tuple[int, ...], widths: tuple[int, ...]) -> np.ndarray:
-    """The dense block on the box of the diagonal form y, as a
-    prod(boxes)-square matrix, or a stack of them, sample first, when y
-    carries a trailing sample axis: the inverse of :func:`_gather`, and the
-    only dense form of an operator that :func:`spectrum` and
-    :func:`trace_power` build."""
-    modes = len(boxes)
-    trailing = y.shape[2 * modes:]
-    padded, box = _padded_box(boxes, widths, trailing)
+    """The dense block on the box of the diagonal form y of one operator, as
+    a prod(boxes)-square matrix: the inverse of :func:`_gather`, built for
+    :attr:`FockOperator.matrix` and the dense square of :func:`trace_power`."""
+    padded, box = _padded_box(boxes, widths)
     _diagonal_view(padded, widths)[...] = y
     size = int(np.prod(boxes))
-    block = padded[box].reshape((size, size) + trailing)
-    return np.moveaxis(block, -1, 0) if trailing else block
+    return padded[box].reshape(size, size)
 
 
 def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -360,6 +357,30 @@ def _structure(m: np.ndarray, space: FockSpace) -> tuple[tuple[int, ...], tuple[
     return tuple(boxes), tuple(widths)
 
 
+def _mirror(y: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """M[k..., x..., s...] = y[-k..., x + k..., s...] = rho[x + k, x] on the
+    offsets k_1 <= 0 of the first mode (index i_1 < w_1, as in y) and all
+    offsets of the others: the lower half of the diagonal form of rho^T
+    (conjugated, of rho^dag), zero where x + k leaves the box.  One strided
+    view of a copy of y's offsets -k, reversed, with the row axes padded by
+    w_j - 1 where x + k can leave the box: below on the first mode, on both
+    sides on the others."""
+    modes = len(widths)
+    boxes, trailing = y.shape[modes:2 * modes], y.shape[2 * modes:]
+    below = tuple(w - 1 for w in widths)
+    above = (0,) + below[1:]
+    padded = np.zeros((widths[0],) + y.shape[1:modes]
+                      + tuple(b + lo + hi for b, lo, hi in zip(boxes, below, above)) + trailing,
+                      dtype=np.complex128)
+    padded[(slice(None),) * modes + tuple(slice(lo, lo + b) for b, lo in zip(boxes, below))
+           ] = y[(slice(None, widths[0] - 2 if widths[0] > 1 else None, -1),)
+                 + (slice(None, None, -1),) * (modes - 1)]
+    strides = padded.strides
+    return np.ndarray(padded.shape[:modes] + boxes + trailing, padded.dtype, padded, 0,
+                      tuple(strides[j] + strides[modes + j] for j in range(modes))
+                      + strides[modes:])
+
+
 def _checked_diagonal(diagonal: np.ndarray) -> None:
     """:func:`spectrum`'s checks on a Fock-diagonal operator's diagonal (or
     each row of a stack of them): finite, real and not below -1e-8."""
@@ -371,30 +392,41 @@ def _checked_diagonal(diagonal: np.ndarray) -> None:
 def _check_spectrum(defects, lowest) -> None:
     """Raise for the first operator of a stack whose Hermiticity defect
     exceeds 1e-10 or whose lowest eigenvalue is below -1e-8."""
-    for defect, low in zip(np.atleast_1d(defects).tolist(), np.atleast_1d(lowest).tolist()):
-        if not defect <= 1e-10:
-            raise NotHermitian(f"operator is not Hermitian: defect {defect:.3e}")
-        if not low >= -1e-8:
-            raise InvalidState(f"operator has eigenvalue {low:.3e} below -1.0e-08")
+    defects, lowest = np.atleast_1d(defects), np.atleast_1d(lowest)
+    skew, negative = ~(defects <= 1e-10), ~(lowest >= -1e-8)
+    bad = np.flatnonzero(skew | negative)
+    if bad.size:
+        first = bad[0]
+        if skew[first]:
+            raise NotHermitian(f"operator is not Hermitian: defect {defects[first]:.3e}")
+        raise InvalidState(f"operator has eigenvalue {lowest[first]:.3e} below -1.0e-08")
 
 
 def spectrum(rho: FockOperator) -> np.ndarray:
     """Real eigenvalues, descending; negatives above -1e-8 are set to 0.  A
     stack of operators gives one row per sample, each checked on its own.
 
-    Only the operator's occupied box is read: it is checked for finite
-    entries and Hermiticity there, and its dense block alone is built and
-    eigensolved, the rest of the spectrum being zeros.  The two-mode output
-    of a support-s input behind an attenuator on one mode is an s d block,
-    not d^2.  An operator whose entries off the diagonal are all zero is
-    read off its diagonal, with no eigensolve; in a stack the others share
-    one stacked eigensolve.  Raises InvalidState on a non-finite entry or an
-    eigenvalue below -1e-8, NotHermitian on a Hermiticity defect above
-    1e-10."""
+    The checks run on the diagonal form, and no dense copy of rho is made:
+    every stored entry is checked to be finite, and the Hermiticity defect
+    max |rho - rho^dag| and the Hermitian part (rho + rho^dag) / 2 are taken
+    entry by entry against the :func:`_mirror` of the diagonals, on the
+    offsets k_1 <= 0 of the first mode alone: the defect at -k is that at k,
+    and these offsets hold the lower triangle of the block, all that
+    ``eigvalsh`` reads.  Only that Hermitian part is written into a dense
+    block, that of the occupied box, one per stack, and eigensolved, the
+    rest of the spectrum being zeros.
+    The two-mode output of a support-s input behind an attenuator on one
+    mode is an s d block, not d^2.  An operator whose entries off the
+    diagonal are all zero is read off its diagonal, with no eigensolve; in a
+    stack the others share one stacked eigensolve.  Raises InvalidState on a
+    non-finite entry or an eigenvalue below -1e-8, NotHermitian on a
+    Hermiticity defect above 1e-10."""
     y, boxes, widths = rho.diagonals, rho.boxes, rho.widths
     stacked = y.ndim > 2 * rho.space.modes
     if not stacked:
         y = y[..., None]
+    if not np.isfinite(y).all():
+        raise InvalidState("operator has a non-finite entry")
     samples, size = y.shape[-1], int(np.prod(boxes))
     center = _center(widths)
     if stacked and max(widths) > 1:  # which samples have entries off the diagonal
@@ -404,21 +436,22 @@ def spectrum(rho: FockOperator) -> np.ndarray:
     else:
         full = np.full(samples, max(widths) > 1)
     diagonal = y[center].reshape(size, samples).T[~full]
-    block = _box_block(y if full.all() else y[..., full], boxes, widths) if full.any() else None
-    # every stored entry sits in one of these, so the checks cover the operator
-    if not (np.isfinite(diagonal).all() and (block is None or np.isfinite(block).all())):
-        raise InvalidState("operator has a non-finite entry")
     w = np.empty((samples, size))
     defects = np.empty(samples)
     # |m - m^dag| is 2 |Im m[n, n]| on a Fock-diagonal operator
     defects[~full] = 2.0 * np.abs(diagonal.imag).max(axis=-1)
     w[~full] = np.sort(diagonal.real, axis=-1)[:, ::-1]
-    if block is not None:  # one adjoint copy for the defect and the Hermitian part
-        adjoint = block.conj().swapaxes(-1, -2)
-        defects[full] = np.abs(block - adjoint).max(axis=(-2, -1))
-        hermitian = block + adjoint
+    if full.any():  # the Hermitian part, formed on the diagonals of its dense block
+        y = y if full.all() else y[..., full]
+        lower = y[:widths[0]]  # the offsets k_1 <= 0
+        padded, box = _padded_box(boxes, widths, y.shape[-1:])
+        hermitian = np.conjugate(_mirror(y, widths),
+                                 out=_diagonal_view(padded, widths)[:widths[0]])
+        defects[full] = np.abs(lower - hermitian).reshape(-1, y.shape[-1]).max(axis=0)
+        hermitian += lower
         hermitian *= 0.5
-        w[full] = np.linalg.eigvalsh(hermitian if stacked else hermitian[0])[..., ::-1]
+        block = np.moveaxis(padded[box].reshape(size, size, -1), -1, 0)
+        w[full] = np.linalg.eigvalsh(block if stacked else block[0])[..., ::-1]
     _check_spectrum(defects, w[:, -1])  # before padding, which puts zeros last
     out = np.zeros((samples, rho.space.dim))
     out[:, :size] = w
@@ -446,34 +479,53 @@ _ELEMENTWISE_COST = 32
 def _banded_square(Y: np.ndarray, widths: tuple[int, ...], low: tuple[int, ...],
                    high: tuple[int, ...]):
     """(Y, S): an operator's diagonal form, on a padded grid, and that of
-    its square at the offsets low_j <= k_j <= high_j.
+    its square at the offsets low_j <= k_j <= high_j, formed on the
+    diagonals alone: no dense block is made.
 
-    Y holds offsets |k_j| < w_j (see :class:`FockOperator`); here each row
-    axis is padded by w_j - 1 on both sides and the grid flattened, so that
-    shifting x by an offset a is shifting the flat index by one number.  The
-    square's entry (x, x + a + c) sums m[x, x + a] m[x + a, x + a + c] over
-    a: per offset a, one multiply-add of Y[a] into S[a + c] for every c with
-    low_j <= a_j + c_j <= high_j.  Index i of an offset axis is offset
-    i - (w_j - 1) in Y and i + low_j in S; the square's own offsets reach
-    2 w_j - 2 either way."""
+    Y holds offsets |k_j| < w_j (see :class:`FockOperator`); here it is
+    copied once onto a grid whose row axes are padded by w_j - 1 on both
+    sides, and the grid flattened, so that shifting x by an offset a is
+    shifting the flat index by one number.  The square's entry
+    (x, x + a + c) sums m[x, x + a] m[x + a, x + a + c] over a: per offset a,
+    in order, one multiply of Y[a] by Y[c] for every c with
+    low_j <= a_j + c_j <= high_j, into one reused product buffer, then one
+    add into S[a + c].  The grids of all offsets lie end to end, with a
+    zero margin of the largest shift on both sides, so the c that differ in
+    the last mode alone are one contiguous run of whole grids, shifted:
+    each multiply and add covers such a run.  Where a shifted grid leaves
+    its offset it meets the zero padding of Y[a], which adds nothing.
+    Index i of an offset axis is offset i - (w_j - 1) in Y and i + low_j in
+    S; the square's own offsets reach 2 w_j - 2 either way."""
     modes = len(widths)
-    Y = np.pad(Y, [(0, 0)] * modes + [(w - 1, w - 1) for w in widths])
-    offsets, grid = Y.shape[:modes], Y.shape[modes:]
-    Y = Y.reshape(offsets + (-1,))
-    n = Y.shape[-1]
+    offsets = Y.shape[:modes]
+    grid = tuple(b + 2 * w - 2 for b, w in zip(Y.shape[modes:], widths))
+    n, count = int(np.prod(grid)), int(np.prod(offsets))
     strides = [int(np.prod(grid[j + 1:])) for j in range(modes)]
+    margin = sum((w - 1) * stride for w, stride in zip(widths, strides))
+    flat = np.zeros(count * n + 2 * margin, dtype=np.complex128)
+    padded = flat[margin:margin + count * n].reshape(offsets + grid)
+    padded[(slice(None),) * modes + tuple(slice(w - 1, 1 - w or None) for w in widths)] = Y
+    # rows[i] = flat[i:i + n], so rows[i:i + k n:n] is k grids from flat[i]
+    rows = as_strided(flat, (len(flat) - n + 1, n), (flat.itemsize,) * 2, writeable=False)
     S = np.zeros(tuple(h - lo + 1 for lo, h in zip(low, high)) + (n,), dtype=np.complex128)
+    targets = S.reshape(-1, n)
+    scratch = np.empty((S.shape[-2], n), dtype=np.complex128)  # each product, contiguous
+    y_rows = [int(np.prod(offsets[j + 1:])) for j in range(modes)]
+    s_rows = [int(np.prod(S.shape[j + 1:-1])) for j in range(modes)]
     for a in np.ndindex(*offsets):
-        shift = sum((i - w + 1) * stride for i, w, stride in zip(a, widths, strides))
-        lo, hi = max(0, -shift), n - max(0, shift)
+        row = rows[margin + n * sum(i * r for i, r in zip(a, y_rows))]
+        shift = margin + sum((i - w + 1) * stride for i, w, stride in zip(a, widths, strides))
         # the Y index c whose a + c is S index 0, then the c that land in S
         base = [2 * w - 2 + lo_k - i for i, w, lo_k in zip(a, widths, low)]
-        c = tuple(slice(max(0, o), min(2 * w - 1, o + size))
-                  for o, w, size in zip(base, widths, S.shape))
-        window = tuple(slice(k.start - o, k.stop - o) for k, o in zip(c, base))
-        S[window + (slice(lo, hi),)] += (Y[a + (slice(lo, hi),)]
-                                         * Y[c + (slice(lo + shift, hi + shift),)])
-    return Y, S
+        c = [range(max(0, o), min(2 * w - 1, o + size))
+             for o, w, size in zip(base, widths, S.shape)]
+        first, k = c[-1][0], len(c[-1])
+        for lead in itertools.product(*c[:-1]):
+            y0 = shift + n * (sum(i * r for i, r in zip(lead, y_rows)) + first)
+            s0 = sum((i - o) * r for i, o, r in zip(lead + (first,), base, s_rows))
+            target = targets[s0:s0 + k]
+            target += np.multiply(row, rows[y0:y0 + k * n:n], out=scratch[:k])
+    return padded.reshape(offsets + (n,)), S
 
 
 def trace_power(rho: FockOperator, p: float) -> float:

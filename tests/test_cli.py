@@ -396,15 +396,6 @@ class TestSweepCommands:
         assert applies[1:] == [sum(r >= k for r in retries) for k in range(1, max(retries) + 1)]
         assert sum(applies[1:]) == report["leakage"]["rejected"]
 
-    def test_majorize_probe_outside_the_smallest_space_exits_two(self, tmp_path, capsys,
-                                                                  files):
-        # the fock(2) probe does not fit two levels: a library error, not a crash
-        code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "1",
-                                              "--seed", "1", "--cutoff", "2"])
-        assert code == 2 and report is None
-        assert ("ParameterOutOfRange: occupation (2,) lies outside 1 mode(s) of 2 levels"
-                in capsys.readouterr().err)
-
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_majorize_exits_two_when_a_sample_exhausts_its_retries(self, tmp_path, capsys,
                                                                    files, threads):
@@ -559,6 +550,28 @@ class TestArgumentBounds:
         code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",
                                               "--seed", "1", "--cutoff", "1"])
         assert (code, report) == (1, None)
+
+    # a one-mode sweep's probes set its smallest cutoff: fock(2) for majorize,
+    # a coherent(0.7) state that keeps its norm for strictgap
+
+    @pytest.mark.parametrize("command,low", [("majorize", 3), ("strictgap", 9)])
+    def test_one_mode_cutoff_below_the_probes(self, tmp_path, capsys, files, command, low):
+        argv = [command, files["att07"], "--cutoff", str(low - 1)]
+        if command == "majorize":
+            argv += ["--samples", "1", "--seed", "1"]
+        code, report = run_to_file(tmp_path, argv)
+        assert (code, report) == (1, None)
+        assert f"{command} needs --cutoff >= {low} for a one-mode channel" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,low", [("majorize", 3), ("strictgap", 9)])
+    def test_one_mode_cutoff_at_the_probes(self, tmp_path, files, command, low):
+        argv = [command, files["att07"], "--cutoff", str(low)]
+        if command == "majorize":
+            argv += ["--samples", "1", "--seed", "1", "--support", "1"]
+        code, report = run_to_file(tmp_path, argv)
+        assert code == 0 and report["pass"] is True
+        assert report["config"]["cutoff"] == low
 
     def test_majorize_zero_support(self, tmp_path, files):
         code, report = run_to_file(tmp_path, ["majorize", files["att07"], "--samples", "2",

@@ -737,6 +737,121 @@ class TestStackedBatch:
             fock.spectrum(FockOperator.from_diagonals(space, y, out.boxes, out.widths))
 
 
+def _box_blocks(out: FockOperator) -> list[np.ndarray]:
+    """The dense block on the box of each sample of an operator or a stack,
+    read off its dense matrix."""
+    space, boxes = out.space, out.boxes
+    y = out.diagonals
+    samples = [y] if y.ndim == 2 * space.modes else np.moveaxis(y, -1, 0)
+    size = int(np.prod(boxes))
+    blocks = []
+    for sample in samples:
+        m = FockOperator.from_diagonals(space, sample, boxes, out.widths).matrix
+        blocks.append(m.reshape((space.cutoff,) * (2 * space.modes))[
+            tuple(slice(b) for b in boxes) * 2].reshape(size, size))
+    return blocks
+
+
+class TestDiagonalFormChecks:
+    """spectrum checks and symmetrizes on the diagonal form, bit for bit as
+    the dense Hermitian part of the box block."""
+
+    @pytest.mark.parametrize("support", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ch,space", [
+        (classical_noise_channel(0.5), FockSpace(1, 24)),
+        (amplifier_channel(1.3), FockSpace(1, 24)),
+        (tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)), FockSpace(2, 10)),
+        (tensor_channel(amplifier_channel(1.2), amplifier_channel(1.1)), FockSpace(2, 10)),
+    ], ids=["noise", "amp", "att-amp", "amp-amp"])
+    def test_matches_the_dense_hermitian_part(self, ch, space, support):
+        realized = fock.realize_channel(ch, space)
+        states = [fock.random_pure_state([7, support, i], space, support=support)
+                  for i in range(support)]
+        for out in (realized.apply(states), realized.apply(states[-1])):
+            assert max(out.widths) == support
+            lam = np.atleast_2d(fock.spectrum(out))
+            for row, block in zip(lam, _box_blocks(out)):
+                reference = np.zeros(space.dim)
+                reference[:len(block)] = np.clip(
+                    np.linalg.eigvalsh((block + block.conj().T) / 2)[::-1], 0.0, None)
+                assert np.array_equal(row, reference)
+
+    @pytest.mark.parametrize("support", [2, 3, 4])
+    def test_matches_on_operators_read_from_dense_matrices(self, support):
+        # random states of support s on levels 2 .. s + 1: box s + 2, width s
+        space = FockSpace(1, 12)
+        rng = np.random.default_rng(support)
+        m = np.zeros((12, 12), dtype=complex)
+        for _ in range(3):
+            v = np.zeros(12, dtype=complex)
+            v[2:2 + support] = rng.standard_normal(support) + 1j * rng.standard_normal(support)
+            m += np.outer(v, v.conj()) / 3 / np.vdot(v, v).real
+        rho = FockOperator(space, m)
+        assert (rho.boxes, rho.widths) == ((support + 2,), (support,))
+        block = _box_blocks(rho)[0]
+        reference = np.zeros(12)
+        reference[:support + 2] = np.clip(
+            np.linalg.eigvalsh((block + block.conj().T) / 2)[::-1], 0.0, None)
+        assert np.array_equal(fock.spectrum(rho), reference)
+
+    @staticmethod
+    def _stack(*matrices) -> FockOperator:
+        # 4 x 4 blocks with every entry nonzero: box 4 and width 4 each
+        space = FockSpace(1, 40)
+        ops = []
+        for block in matrices:
+            m = np.zeros((40, 40), dtype=complex)
+            m[:4, :4] = block
+            ops.append(FockOperator(space, m))
+        assert all((op.boxes, op.widths) == ((4,), (4,)) for op in ops)
+        return FockOperator.from_diagonals(
+            space, np.stack([op.diagonals for op in ops], axis=-1), (4,), (4,))
+
+    def test_planted_defect_is_named(self):
+        good = _hermitian_with_spectrum([0.4, 0.3, 0.2, 0.1])
+        skew = good.copy()
+        skew[0, 1] += 1e-6  # its adjoint entry keeps the old value
+        with pytest.raises(NotHermitian, match="defect 1.000e-06"):
+            fock.spectrum(self._stack(good, skew, good))
+
+    def test_non_finite_entry_is_invalid(self):
+        good = _hermitian_with_spectrum([0.4, 0.3, 0.2, 0.1])
+        broken = good.copy()
+        broken[1, 2] = np.nan
+        with pytest.raises(InvalidState, match="non-finite"):
+            fock.spectrum(self._stack(good, good, broken))
+
+    def test_eigenvalue_below_the_clamp_is_invalid(self):
+        good = _hermitian_with_spectrum([0.4, 0.3, 0.2, 0.1])
+        negative = _hermitian_with_spectrum([0.6, 0.4 + 2e-8, 0.0, -2e-8], seed=1)
+        with pytest.raises(InvalidState, match="eigenvalue -2.0"):
+            fock.spectrum(self._stack(good, negative, good))
+
+    def test_the_first_failing_sample_is_named(self):
+        good = _hermitian_with_spectrum([0.4, 0.3, 0.2, 0.1])
+        negative = _hermitian_with_spectrum([0.6, 0.4 + 2e-8, 0.0, -2e-8], seed=1)
+        skew = good.copy()
+        skew[0, 1] += 1e-6
+        with pytest.raises(InvalidState):
+            fock.spectrum(self._stack(good, negative, skew))
+        with pytest.raises(NotHermitian):
+            fock.spectrum(self._stack(good, skew, negative))
+
+    @pytest.mark.parametrize("p", [3, 4])
+    @pytest.mark.parametrize("ch", [
+        tensor_channel(amplifier_channel(np.sqrt(2)), amplifier_channel(np.sqrt(2))),
+        tensor_channel(attenuator_channel(0.6), amplifier_channel(1.2)),
+        tensor_channel(amplifier_channel(1.2), attenuator_channel(0.6)),
+    ], ids=["amp-amp", "att-amp", "amp-att"])
+    def test_trace_power_matches_a_dense_square(self, ch, p):
+        space = FockSpace(2, 20)
+        out = fock.realize_channel(ch, space).apply(fock.random_pure_state(9, space, support=3))
+        block, = _box_blocks(out)
+        square = block @ block
+        reference = np.sum(square * (block if p == 3 else square).conj()).real
+        assert fock.trace_power(out, p) == pytest.approx(reference, rel=1e-12)
+
+
 class TestTracePower:
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 2.5])
     @pytest.mark.parametrize("input_kind", ["sample", "vacuum"])
